@@ -205,7 +205,15 @@ def simulate_mean(dec: ConvexDecomposition, p, samples: int, rng_seed: int):
     second = [float(sum(w * img[i] ** 2
                         for (w, _), img in zip(dec.terms, images)))
               for i in range(n)]
-    sigma = [((second[i] - exact[i] ** 2) / samples) ** 0.5 for i in range(n)]
+
+    def variance(i):
+        # zero when every term maps the coordinate alike; otherwise clamped,
+        # because rounding can leave second - exact**2 just below zero
+        if all(img[i] == images[0][i] for img in images):
+            return 0.0
+        return max(0.0, second[i] - exact[i] ** 2)
+
+    sigma = [(variance(i) / samples) ** 0.5 for i in range(n)]
     return mean, exact, sigma
 
 

@@ -117,9 +117,29 @@ def _cmd_cone(args) -> int:
     return 0
 
 
+def _thread_count() -> int:
+    """Worker count from THERMO_OPS_THREADS (default 1), capped at the CPU
+    count so a large value cannot start one thread per grid chunk."""
+    raw = os.environ.get("THERMO_OPS_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise FormatError(
+            f"THERMO_OPS_THREADS must be a positive integer, got {raw!r}")
+    return min(threads, os.cpu_count() or 1)
+
+
 def _cmd_jc_region(args) -> int:
+    inf = float("inf")
+    if not all(-inf < v < inf for v in (args.beta_min, args.beta_max)):
+        raise DomainError("--beta-min and --beta-max must be finite")
+    if not 0 < args.step < inf:
+        raise DomainError(f"--step must be positive and finite, got "
+                          f"{args.step}")
+    threads = _thread_count()
     grid = np.arange(args.beta_min, args.beta_max + args.step / 2, args.step)
-    threads = int(os.environ.get("THERMO_OPS_THREADS", "1"))
     if threads > 1:
         chunks = np.array_split(grid, threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .birkhoff import pull_back
-from .core import DomainError, GibbsContext, Number, as_values
+from .core import DomainError, GibbsContext, Number, as_values, coerce_exact
 from .linprog import in_convex_hull
-from .majorization import lorenz_curve, thermo_majorizes
-from .synthesis import _coerce_exact
+from .majorization import (exact_lorenz, exact_mode, lorenz_curve,
+                           thermo_majorizes)
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,23 @@ def cone_vertices(p, ctx: GibbsContext,
                   check_membership: bool = True
                   ) -> tuple[tuple[Number, ...], ...]:
     """Beta-order saturation points: for each level ordering, read the
-    source curve at that ordering's cumulative-weight grid."""
+    source curve at that ordering's cumulative-weight grid.
+
+    A grid point's curve value depends only on its cumulative weight, so
+    each is read once.  In exact mode the curve is the integer one, read in
+    slots, and every value is a numerator over one common denominator.
+    """
     pv = as_values(p)
-    curve = lorenz_curve(pv, ctx)
     n = ctx.n
+    exact = exact_mode(ctx, None, pv)
+    if exact:
+        curve = exact_lorenz(pv, ctx)
+        read = curve.at
+        steps = ctx.d
+    else:
+        read = lorenz_curve(pv, ctx).evaluate
+        steps = ctx.g
+    values = {}
     seen = set()
     out = []
     for perm in itertools.permutations(range(n)):
@@ -50,14 +63,20 @@ def cone_vertices(p, ctx: GibbsContext,
         cx = 0
         prev = 0
         for k in perm:
-            cx = cx + ctx.g[k]
-            y = curve.evaluate(cx)
+            cx = cx + steps[k]
+            y = values.get(cx)
+            if y is None:
+                y = values[cx] = read(cx)
             vertex[k] = y - prev
             prev = y
         vt = tuple(vertex)
         if vt not in seen:
             seen.add(vt)
             out.append(vt)
+    if exact:
+        denom = curve.scale * curve.lam
+        frac = {v: Fraction(v, denom) for vt in out for v in vt}
+        out = [tuple(frac[v] for v in vt) for vt in out]
     if check_membership:
         for v in out:
             if not cone_membership(pv, v, ctx):
@@ -135,7 +154,7 @@ def hull_check(p, ctx: GibbsContext, samples: int = 500, seed: int = 0,
     ctx.require_rational()
     if ctx.D > 12:
         raise DomainError("hull oracle limited to D <= 12")
-    pv = _coerce_exact(as_values(p), "p")
+    pv = coerce_exact(as_values(p), "p")
     vertices = cone_vertices(pv, ctx)
     exhaustive = ctx.D <= exhaustive_up_to
     if exhaustive:

@@ -137,6 +137,9 @@ class Population:
     x: tuple[Number, ...]
 
     def __post_init__(self):
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in self.x):
+            raise DomainError("populations must be finite")
         if any(v < 0 for v in self.x):
             raise DomainError("populations must be nonnegative")
         if sum(self.x) <= 0:
@@ -161,6 +164,18 @@ def as_values(p) -> tuple[Number, ...]:
     if isinstance(p, Population):
         return p.x
     return tuple(p)
+
+
+def coerce_exact(values, what: str) -> list[Fraction]:
+    """Fractions of exact values, for the rational-mode-only operations
+    (synthesis, the hull oracle); float entries are a DomainError."""
+    out = []
+    for v in values:
+        if isinstance(v, float):
+            raise DomainError(
+                f"rational mode required; {what} has float entries")
+        out.append(Fraction(v))
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
-                   make_edp_step)
-from .majorization import majorization_witness
+                   coerce_exact, make_edp_step)
+from .majorization import (exact_lorenz, lorenz_violation,
+                           majorization_witness)
 
 _ZERO = Fraction(0)
 
@@ -95,36 +96,11 @@ def compose_edps_same_pair(a: EdpStep, b: EdpStep,
 
 
 # --------------------------------------------------------------------------
-# internal exact machinery (rational mode only)
+# internal exact machinery (rational mode only); ``target`` is the integer
+# Lorenz curve of q from the majorisation kernel
 
-def _beta_perm(x, g):
-    return sorted(range(len(x)), key=lambda i: (-(x[i] / g[i]), -x[i], i))
-
-
-def _lorenz_pts(x, g):
-    pts = [(_ZERO, _ZERO)]
-    cx = cy = _ZERO
-    for i in _beta_perm(x, g):
-        cx += g[i]
-        cy += x[i]
-        pts.append((cx, cy))
-    return pts
-
-
-def _lorenz_at(order, x, g, c):
-    cum_g = _ZERO
-    cum_x = _ZERO
-    for i in order:
-        if c <= cum_g + g[i]:
-            return cum_x + (c - cum_g) * x[i] / g[i]
-        cum_g += g[i]
-        cum_x += x[i]
-    return cum_x
-
-
-def _dominant(y, g, q_elbows):
-    order = _beta_perm(y, g)
-    return all(_lorenz_at(order, y, g, c) >= v for c, v in q_elbows)
+def _dominant(y, ctx, target):
+    return lorenz_violation(exact_lorenz(y, ctx), target) is None
 
 
 def _feas_cap(x, g, a, b):
@@ -132,7 +108,7 @@ def _feas_cap(x, g, a, b):
     return min(g[a], g[b]) * (x[a] / g[a] - x[b] / g[b])
 
 
-def _dominance_cap(x, q_elbows, g, a, b, delta_hi):
+def _dominance_cap(x, ctx, target, g, a, b, delta_hi):
     """Largest d in [0, delta_hi] keeping (x - d e_a + d e_b) >=_T target.
 
     Piecewise analysis: between ratio-crossing values of d the curve value at
@@ -147,8 +123,9 @@ def _dominance_cap(x, q_elbows, g, a, b, delta_hi):
         y[b] += d
         return y
 
-    if _dominant(shifted(delta_hi), g, q_elbows):
+    if _dominant(shifted(delta_hi), ctx, target):
         return delta_hi
+    q_elbows = target.points()
     crits = set()
     for j in range(n):
         for i, s in ((a, Fraction(-1)), (b, Fraction(1))):
@@ -165,7 +142,7 @@ def _dominance_cap(x, q_elbows, g, a, b, delta_hi):
     best = _ZERO
     for d0, d1 in zip(grid, grid[1:]):
         mid = (d0 + d1) / 2
-        order = _beta_perm(shifted(mid), g)
+        order = exact_lorenz(shifted(mid), ctx).order
         bind = d1
         ok_at_d0 = True
         for c, v in q_elbows:
@@ -197,32 +174,28 @@ def _dominance_cap(x, q_elbows, g, a, b, delta_hi):
                 best = bind
             break
         best = d1
-    if not _dominant(shifted(best), g, q_elbows):
+    if not _dominant(shifted(best), ctx, target):
         raise SynthesisError("internal: dominance cap computation failed")
     return best
 
 
-def _slot_positions(x, g, d, a, b):
+def _slot_positions(x, ctx, a, b):
     """(tail slot of a's block, head slot of b's block), 1-based, in the
     current beta-sorted embedding."""
-    order = _beta_perm(x, g)
-    pos = {}
-    cum = 0
-    for i in order:
-        pos[i] = (cum + 1, cum + d[i])
-        cum += d[i]
-    return pos[a][1], pos[b][0]
+    curve = exact_lorenz(x, ctx)
+    rank = curve.order.index
+    return curve.xs[rank(a) + 1], curve.xs[rank(b)] + 1
 
 
 class _Unreachable(Exception):
     pass
 
 
-def _synth_aligned(p, q, g, d):
-    """Embedded transfer loop for beta-aligned pairs; provably exact and
-    at most D - 1 transfers (see module docstring)."""
-    order = _beta_perm(p, g)
-    if _beta_perm(q, g) != order:
+def _synth_aligned(p, q, d, order, order_q):
+    """Embedded transfer loop for beta-aligned pairs (``order`` and
+    ``order_q`` are the beta-orders of p and q); provably exact and at most
+    D - 1 transfers (see module docstring)."""
+    if order_q != order:
         raise _Unreachable("pair is not beta-aligned")
     u = []
     v = []
@@ -253,7 +226,7 @@ def _synth_aligned(p, q, g, d):
     return transfers
 
 
-def _run_phases(p, q, g, d, phase_levels, asc, q_elbows, max_rounds=120):
+def _run_phases(p, q, g, ctx, phase_levels, asc, target, max_rounds=120):
     """Settle one level at a time to its exact target, moving mass only
     between unsettled levels; transit boosts reroute mass through middle
     levels when direct pipes are too narrow."""
@@ -268,11 +241,11 @@ def _run_phases(p, q, g, d, phase_levels, asc, q_elbows, max_rounds=120):
         y = list(x)
         y[a] -= delta
         y[b] += delta
-        if not _dominant(y, g, q_elbows):
-            delta = _dominance_cap(x, q_elbows, g, a, b, delta)
+        if not _dominant(y, ctx, target):
+            delta = _dominance_cap(x, ctx, target, g, a, b, delta)
             if delta <= 0:
                 return _ZERO
-        j_ex, j_df = _slot_positions(x, g, d, a, b)
+        j_ex, j_df = _slot_positions(x, ctx, a, b)
         x[a] -= delta
         x[b] += delta
         transfers.append((a, b, delta, j_ex, j_df, None, origin))
@@ -337,7 +310,7 @@ def _run_phases(p, q, g, d, phase_levels, asc, q_elbows, max_rounds=120):
     return transfers
 
 
-def _greedy_balanced(p, q, g, d, q_elbows, step_limit=None):
+def _greedy_balanced(p, q, g, ctx, target, step_limit=None):
     """Fallback: snap-preferring greedy over all ratio-directional pairs."""
     n = len(p)
     if step_limit is None:
@@ -366,8 +339,9 @@ def _greedy_balanced(p, q, g, d, q_elbows, step_limit=None):
                     y = list(x)
                     y[a] -= delta
                     y[b] += delta
-                    if not _dominant(y, g, q_elbows):
-                        delta = _dominance_cap(x, q_elbows, g, a, b, delta)
+                    if not _dominant(y, ctx, target):
+                        delta = _dominance_cap(x, ctx, target, g, a, b,
+                                               delta)
                         if delta <= 0:
                             continue
                         y = list(x)
@@ -384,21 +358,11 @@ def _greedy_balanced(p, q, g, d, q_elbows, step_limit=None):
         if best is None:
             raise _Unreachable("no admissible greedy transfer")
         _, a, b, delta = best
-        j_ex, j_df = _slot_positions(x, g, d, a, b)
+        j_ex, j_df = _slot_positions(x, ctx, a, b)
         x[a] -= delta
         x[b] += delta
         transfers.append((a, b, delta, j_ex, j_df, None, "greedy"))
     return transfers
-
-
-def _coerce_exact(values, what):
-    out = []
-    for v in values:
-        if isinstance(v, float):
-            raise DomainError(
-                f"synthesis runs in rational mode; {what} has float entries")
-        out.append(Fraction(v))
-    return out
 
 
 def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
@@ -411,32 +375,31 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
     two-level detailed-balanced steps alone).
     """
     ctx.require_rational()
-    pv = _coerce_exact(as_values(p), "p")
-    qv = _coerce_exact(as_values(q), "q")
+    pv = coerce_exact(as_values(p), "p")
+    qv = coerce_exact(as_values(q), "q")
     if len(pv) != ctx.n or len(qv) != ctx.n:
         raise DomainError("population and context dimensions differ")
     g = [Fraction(v) for v in ctx.g]
-    d = ctx.d
     witness = majorization_witness(pv, qv, ctx, tol=0)
     if witness is not None:
         raise SynthesisError(
             f"p does not thermo-majorize q; violated elbow at x={witness[0]}"
             f" (L_p={witness[1]} < L_q={witness[2]})", witness=witness)
 
-    relabel_in = tuple(_beta_perm(pv, g))
-    relabel_out = tuple(_beta_perm(qv, g))
+    target = exact_lorenz(qv, ctx)
+    relabel_in = exact_lorenz(pv, ctx).order
+    relabel_out = target.order
     if pv == qv:
         return EdpSequence((), (), relabel_in, relabel_out)
 
-    q_elbows = _lorenz_pts(qv, g)
     tau = relabel_out
-    attempts = [lambda: _synth_aligned(pv, qv, g, d)]
+    attempts = [lambda: _synth_aligned(pv, qv, ctx.d, relabel_in, tau)]
     for asc in (True, False):
         attempts.append(lambda a=asc: _run_phases(
-            pv, qv, g, d, list(tau[:-1]), a, q_elbows))
+            pv, qv, g, ctx, list(tau[:-1]), a, target))
         attempts.append(lambda a=asc: _run_phases(
-            pv, qv, g, d, list(tau[1:][::-1]), a, q_elbows))
-    attempts.append(lambda: _greedy_balanced(pv, qv, g, d, q_elbows))
+            pv, qv, g, ctx, list(tau[1:][::-1]), a, target))
+    attempts.append(lambda: _greedy_balanced(pv, qv, g, ctx, target))
 
     transfers = None
     for attempt in attempts:

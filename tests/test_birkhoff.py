@@ -153,6 +153,18 @@ class TestSampling:
         p = (F(2, 5), F(3, 5))
         assert sample_process(dec, p, 42) == sample_process(dec, p, 42)
 
+    def test_single_term_sigma_is_real_zero(self, two_thirds_ctx):
+        # every term maps each coordinate alike: the variance is exactly
+        # zero, where the raw float difference can round below zero
+        T = thermo_transposition(two_thirds_ctx, 0, 1).as_matrix(
+            two_thirds_ctx)
+        dec = decompose(T, two_thirds_ctx)
+        assert len(dec.terms) == 1
+        for p in ((F(1, 3), F(2, 3)), (F(1, 10), F(9, 10)),
+                  (F(2, 5), F(3, 5))):
+            _, _, sigma = simulate_mean(dec, p, samples=1000, rng_seed=1)
+            assert all(type(s) is float and s == 0.0 for s in sigma)
+
     def test_monte_carlo_mean(self, seven_ctx):
         rng = random.Random(10)
         T = random_gibbs_preserving(seven_ctx, rng, terms=5)

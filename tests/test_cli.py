@@ -1,10 +1,11 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from thermo_ops import decompose, gibbs_context_from_weights, thermo_transposition
-from thermo_ops.cli import main
+from thermo_ops.cli import _thread_count, main
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
                            write_json_atomic)
@@ -87,6 +88,18 @@ class TestDecomposeSimulate:
         assert out["exact"] == [0.5, 0.5]
         assert out["mean"] == [0.5, 0.5]  # single-term mixture
 
+    def test_simulate_single_term_sigma_zero(self, workdir, capsys):
+        d, ctx = workdir
+        dec = decompose(thermo_transposition(ctx, 0, 1).as_matrix(ctx), ctx)
+        write_json_atomic(d / "dec.json", decomposition_to_json(dec))
+        write_json_atomic(d / "p3.json",
+                          population_to_json((F(1, 3), F(2, 3))))
+        assert run("simulate", "--dec", d / "dec.json", "--p", d / "p3.json",
+                   "--samples", 1000, "--seed", 1, "--out",
+                   d / "sim.json") == 0
+        out = json.loads((d / "sim.json").read_text())
+        assert out["sigma"] == [0.0, 0.0]
+
     def test_simulate_deterministic(self, workdir, capsys):
         d, ctx = workdir
         dec = decompose(thermo_transposition(ctx, 0, 1).as_matrix(ctx), ctx)
@@ -135,6 +148,36 @@ class TestJc:
         monkeypatch.setenv("THERMO_OPS_THREADS", "3")
         assert run(*args) == 0
         assert (tmp_path / "r.csv").read_bytes() == serial
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_region_bad_step_is_domain_error(self, step, capsys):
+        assert run("jc-region", "--step", step) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("THERMO-OPS-ERROR code=DOMAIN")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_region_bad_thread_env_is_format_error(self, value, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("THERMO_OPS_THREADS", value)
+        assert run("jc-region", "--beta-min", 0.2, "--beta-max", 1.0,
+                   "--step", 0.2, "--out", tmp_path / "r.csv") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("THERMO-OPS-ERROR code=FORMAT")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        # only the parsed value is read; no pool is started
+        cpus = os.cpu_count() or 1
+        monkeypatch.setenv("THERMO_OPS_THREADS", str(10**6))
+        assert _thread_count() == cpus
+        monkeypatch.setenv("THERMO_OPS_THREADS", "1")
+        assert _thread_count() == 1
+        monkeypatch.delenv("THERMO_OPS_THREADS")
+        assert _thread_count() == 1
 
     def test_solve(self, capsys):
         assert run("jc-solve", "--target", 0.3, "--beta-bar", 1.0) == 0

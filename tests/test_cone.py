@@ -56,6 +56,31 @@ class TestVertices:
             for v in verts:
                 assert cone_membership(p, v, ctx)
 
+    def test_vertex_tuple_matches_evaluate_reference(self):
+        # the integer-curve vertices equal, in order and after dedup, the
+        # source curve read by LorenzCurve.evaluate along every ordering
+        import itertools
+        from thermo_ops import lorenz_curve
+        rng = random.Random(24)
+        for _ in range(40):
+            ctx = rand_ctx(rng, nmax=5, dmax_total=60, distinct=False)
+            p = rand_pop(rng, ctx.n)
+            lp = lorenz_curve(p, ctx)
+            expected = []
+            for perm in itertools.permutations(range(ctx.n)):
+                vertex = [None] * ctx.n
+                cx = prev = 0
+                for k in perm:
+                    cx = cx + ctx.g[k]
+                    y = lp.evaluate(cx)
+                    vertex[k] = y - prev
+                    prev = y
+                if tuple(vertex) not in expected:
+                    expected.append(tuple(vertex))
+            got = cone_vertices(p, ctx)
+            assert got == tuple(expected)
+            assert all(type(v) is F for vt in got for v in vt)
+
     def test_vertices_saturate_source_curve(self):
         # a saturation point reproduces the source curve at the cumulative
         # grid of its own beta-order

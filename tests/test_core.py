@@ -66,6 +66,11 @@ class TestPopulation:
         with pytest.raises(DomainError):
             Population((0, 0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            Population((bad, 1.0))
+
     def test_norm_free(self):
         assert Population((F(1, 2), F(1, 4))).norm == F(3, 4)
 

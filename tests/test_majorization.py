@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from thermo_ops import (DomainError, beta_order, embed, lorenz_curve,
-                        majorizes_classical, perpetuum_rate,
+                        majorization_witness, majorizes_classical,
+                        perpetuum_rate,
                         relative_entropy, thermo_majorizes,
                         thermo_majorizes_abs, thermo_majorizes_curve,
                         thermo_majorizes_embedded, unembed)
@@ -170,6 +171,81 @@ class TestRouteAgreementAndOrder:
             q = rand_pop(rng, ctx.n, denom=40)
             verdict = thermo_majorizes(p, q, ctx, route="all")
             assert (gibbs_map_exists(p, q, ctx) is not None) == verdict
+
+
+def _evaluate_witness(p, q, ctx, t):
+    """Reference witness: both curves read by LorenzCurve.evaluate at the
+    sorted union of their elbows."""
+    lp, lq = lorenz_curve(p, ctx), lorenz_curve(q, ctx)
+    for x in sorted({x for x, _ in lp.points} | {x for x, _ in lq.points}):
+        yp, yq = lp.evaluate(x), lq.evaluate(x)
+        if yp < yq - t:
+            return (x, yp, yq)
+    return None
+
+
+def _criterion_1_pairs(seed, count):
+    """Criterion-1 contexts with random, majorized and reversed targets."""
+    rng = random.Random(seed)
+    for k in range(count):
+        ctx = rand_ctx(rng, nmax=6, dmax_total=100, distinct=False)
+        p = rand_pop(rng, ctx.n)
+        q = rand_pop(rng, ctx.n)
+        if k % 3 == 1:
+            lam = F(rng.randint(0, 8), 8)
+            q = tuple(lam * a + (1 - lam) * b for a, b in zip(p, ctx.g))
+        elif k % 3 == 2:
+            p, q = q, p
+        yield ctx, p, q
+
+
+class TestIntegerKernel:
+    def test_block_embedded_equals_literal_embedding(self):
+        seen = set()
+        for ctx, p, q in _criterion_1_pairs(31, 300):
+            verdict = thermo_majorizes_embedded(p, q, ctx)
+            assert verdict == majorizes_classical(embed(p, ctx),
+                                                  embed(q, ctx))
+            seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_witness_equals_evaluate_reference(self):
+        hits = 0
+        for ctx, p, q in _criterion_1_pairs(37, 300):
+            witness = majorization_witness(p, q, ctx)
+            assert witness == _evaluate_witness(p, q, ctx, 0)
+            if witness is not None:
+                hits += 1
+                assert all(type(v) is F for v in witness)
+        assert 0 < hits < 300
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("route", ["curve", "abs", "embedded", "all"])
+    def test_non_finite_raw_tuple_rejected(self, two_thirds_ctx, bad,
+                                           route):
+        ctx = two_thirds_ctx
+        with pytest.raises(DomainError):
+            thermo_majorizes((bad, 1.0), ctx.g, ctx, route=route)
+        with pytest.raises(DomainError):
+            thermo_majorizes(ctx.g, (1.0, bad), ctx, route=route)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_witness_and_classical_rejected(self,
+                                                       two_thirds_ctx, bad):
+        ctx = two_thirds_ctx
+        with pytest.raises(DomainError):
+            majorization_witness((bad, 1.0), ctx.g, ctx)
+        with pytest.raises(DomainError):
+            majorization_witness(ctx.g, (bad, 1.0), ctx)
+        with pytest.raises(DomainError):
+            majorizes_classical((bad, 1.0), (0.5, 0.5))
+
+    def test_beta_order_matches_fraction_key(self):
+        for ctx, p, _ in _criterion_1_pairs(43, 200):
+            g = ctx.g
+            key = sorted(range(ctx.n),
+                         key=lambda i: (-(p[i] / g[i]), -p[i], i))
+            assert beta_order(p, ctx).perm == tuple(key)
 
 
 class TestEntropyAndRate:
