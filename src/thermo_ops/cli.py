@@ -26,6 +26,10 @@ from .synthesis import SynthesisError, synthesize
 from .thermalization import is_thermalisation_of, relax
 
 
+#: most rows ``jc-region`` computes; a finer grid is refused up front
+MAX_REGION_ROWS = 10**5
+
+
 def _fail(code: str, message: str, status: int) -> int:
     sys.stderr.write(f"THERMO-OPS-ERROR code={code} msg={message}\n")
     return status
@@ -138,6 +142,11 @@ def _cmd_jc_region(args) -> int:
     if not 0 < args.step < inf:
         raise DomainError(f"--step must be positive and finite, got "
                           f"{args.step}")
+    rows = (args.beta_max + args.step / 2 - args.beta_min) / args.step
+    if rows > MAX_REGION_ROWS:
+        raise DomainError(f"the beta grid would hold more than "
+                          f"{MAX_REGION_ROWS} rows (the cap); use a larger "
+                          f"--step or a shorter range")
     threads = _thread_count()
     grid = np.arange(args.beta_min, args.beta_max + args.step / 2, args.step)
     if threads > 1:

@@ -68,8 +68,15 @@ class GibbsContext:
 
 
 def _float_weights(energies: Sequence[float]) -> list[float]:
-    z = sum(math.exp(-e) for e in energies)
-    return [math.exp(-e) / z for e in energies]
+    try:
+        boltzmann = [math.exp(-e) for e in energies]
+    except OverflowError:
+        boltzmann = [math.inf]
+    z = sum(boltzmann)
+    if not 0 < z < math.inf:
+        raise DomainError("energies are out of float range; shift them so "
+                          "the lowest is near zero")
+    return [b / z for b in boltzmann]
 
 
 def make_gibbs_context(energies: Sequence[float],
@@ -81,13 +88,19 @@ def make_gibbs_context(energies: Sequence[float],
     cases such as weights (2/3, 1/3) are recovered with D = 3.  Passing
     ``max_denominator=None`` skips the rational form entirely (float mode).
     """
-    energies = tuple(float(e) for e in energies)
+    try:
+        energies = tuple(float(e) for e in energies)
+    except OverflowError:  # an integer beyond the float range
+        raise DomainError("energies must be finite") from None
     if not energies:
         raise DomainError("at least one energy level is required")
     if any(not math.isfinite(e) for e in energies):
         raise DomainError("energies must be finite")
     gf = _float_weights(energies)
     if max_denominator is None:
+        if 0 in gf:
+            raise DomainError("a Gibbs weight underflows to zero in float "
+                              "mode; the energies span too wide a range")
         return GibbsContext(energies, tuple(gf), None, None, exact=False)
     if max_denominator < 1:
         raise DomainError("max_denominator must be >= 1")
@@ -142,7 +155,11 @@ class Population:
             raise DomainError("populations must be finite")
         if any(v < 0 for v in self.x):
             raise DomainError("populations must be nonnegative")
-        if sum(self.x) <= 0:
+        try:
+            norm = sum(self.x)
+        except OverflowError:  # a huge exact entry next to a float one
+            raise DomainError("population norm overflows a float") from None
+        if norm <= 0:
             raise DomainError("population norm must be positive")
 
     @property
@@ -164,6 +181,18 @@ def as_values(p) -> tuple[Number, ...]:
     if isinstance(p, Population):
         return p.x
     return tuple(p)
+
+
+def auto_tol(tol: Number | None, *value_groups) -> Number:
+    """The tolerance policy: an explicit ``tol`` wins; otherwise 0 when every
+    involved number is exact, else the float default 1e-9."""
+    if tol is not None:
+        return tol
+    for group in value_groups:
+        for v in group:
+            if isinstance(v, float):
+                return 1e-9
+    return 0
 
 
 def coerce_exact(values, what: str) -> list[Fraction]:
@@ -327,9 +356,10 @@ class ConvexDecomposition:
     terms: tuple[tuple[Number, ThermoPermutation], ...]
 
     def __post_init__(self):
-        if any(w < 0 for w, _ in self.terms):
+        weights = [w for w, _ in self.terms]
+        if any(not w >= 0 for w in weights):  # NaN fails too
             raise DomainError("decomposition weights must be nonnegative")
-        if abs(sum(w for w, _ in self.terms) - 1) > 1e-9:
+        if abs(sum(weights) - 1) > auto_tol(None, weights):
             raise DomainError("decomposition weights must sum to one")
 
     @property

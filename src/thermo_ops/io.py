@@ -43,10 +43,43 @@ def decode_number(obj: Any) -> Number:
     raise FormatError(f"cannot decode number from {obj!r}")
 
 
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return obj
+
+
 def _require(obj: dict, key: str):
     if key not in obj:
         raise FormatError(f"missing required field {key!r}")
     return obj[key]
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a JSON array")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be a JSON integer")
+    return value
+
+
+def _real(value, what: str) -> Number:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{what} must be a JSON number")
+    return value
+
+
+def _square(cols, what: str) -> tuple[tuple[Number, ...], ...]:
+    """An n x n array of numbers given as its n columns."""
+    cols = _array(cols, what)
+    if any(len(_array(c, f"each column of {what}")) != len(cols)
+           for c in cols):
+        raise FormatError(f"{what} must form an n x n array")
+    return tuple(tuple(decode_number(v) for v in col) for col in cols)
 
 
 def context_to_json(ctx: GibbsContext) -> dict:
@@ -59,25 +92,29 @@ def context_to_json(ctx: GibbsContext) -> dict:
 
 
 def context_from_json(obj: dict) -> GibbsContext:
-    if not isinstance(obj, dict):
-        raise FormatError("context file must hold a JSON object")
+    _object(obj, "context file")
     if "g" in obj:
-        weights = [decode_number(v) for v in obj["g"]]
+        weights = [decode_number(v) for v in _array(obj["g"], "g")]
         if any(isinstance(w, float) for w in weights):
             raise FormatError("context weights must be exact rationals")
         ctx = gibbs_context_from_weights(weights)
         if "d" in obj or "D" in obj:
             # honour an explicit slot split as long as it is consistent
-            d = tuple(_require(obj, "d"))
-            big = _require(obj, "D")
+            d = tuple(_integer(di, "each entry of d")
+                      for di in _array(_require(obj, "d"), "d"))
+            big = _integer(_require(obj, "D"), "D")
             if sum(d) != big or any(di <= 0 for di in d):
                 raise FormatError("d must be positive integers summing to D")
             if any(Fraction(di, big) != g for di, g in zip(d, ctx.g)):
                 raise FormatError("d/D is inconsistent with the weights g")
             ctx = GibbsContext(ctx.energies, ctx.g, d, big, exact=True)
         return ctx
-    energies = _require(obj, "energies")
-    return make_gibbs_context(energies, obj.get("max_denominator", 1000))
+    energies = [_real(e, "each energy")
+                for e in _array(_require(obj, "energies"), "energies")]
+    max_denominator = obj.get("max_denominator", 1000)
+    if max_denominator is not None:  # null asks for float mode
+        _integer(max_denominator, "max_denominator")
+    return make_gibbs_context(energies, max_denominator)
 
 
 def population_to_json(p) -> dict:
@@ -86,9 +123,9 @@ def population_to_json(p) -> dict:
 
 
 def population_from_json(obj: dict) -> Population:
-    if not isinstance(obj, dict):
-        raise FormatError("population file must hold a JSON object")
-    return Population(tuple(decode_number(v) for v in _require(obj, "x")))
+    _object(obj, "population file")
+    return Population(tuple(decode_number(v)
+                            for v in _array(_require(obj, "x"), "x")))
 
 
 def matrix_to_json(T: StochasticMatrix) -> dict:
@@ -97,14 +134,12 @@ def matrix_to_json(T: StochasticMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> StochasticMatrix:
-    if not isinstance(obj, dict):
-        raise FormatError("matrix file must hold a JSON object")
-    n = _require(obj, "n")
-    cols = _require(obj, "cols")
-    if len(cols) != n or any(len(c) != n for c in cols):
+    _object(obj, "matrix file")
+    n = _integer(_require(obj, "n"), "n")
+    cols = _square(_require(obj, "cols"), "matrix cols")
+    if len(cols) != n:
         raise FormatError("matrix cols must form an n x n array")
-    return StochasticMatrix(tuple(
-        tuple(decode_number(v) for v in col) for col in cols))
+    return StochasticMatrix(cols)
 
 
 def decomposition_to_json(dec: ConvexDecomposition) -> dict:
@@ -117,14 +152,15 @@ def decomposition_to_json(dec: ConvexDecomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> ConvexDecomposition:
-    if not isinstance(obj, dict):
-        raise FormatError("decomposition file must hold a JSON object")
+    _object(obj, "decomposition file")
     terms = []
-    for term in _require(obj, "terms"):
+    for term in _array(_require(obj, "terms"), "terms"):
+        _object(term, "each term")
         weight = decode_number(_require(term, "weight"))
-        perm = tuple(_require(term, "lifted_perm"))
-        cols = tuple(tuple(decode_number(v) for v in col)
-                     for col in _require(term, "cols"))
+        perm = tuple(_integer(v, "each lifted_perm entry")
+                     for v in _array(_require(term, "lifted_perm"),
+                                     "lifted_perm"))
+        cols = _square(_require(term, "cols"), "term cols")
         terms.append((weight, ThermoPermutation(perm, StochasticMatrix(cols))))
     return ConvexDecomposition(tuple(terms))
 

@@ -18,20 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .core import DomainError, GibbsContext, Number, as_values
+from .core import DomainError, GibbsContext, Number, as_values, auto_tol
 
 Route = Literal["curve", "abs", "embedded", "all"]
-
-
-def _auto_tol(tol: Number | None, *value_groups) -> Number:
-    """0 when every involved number is exact, else the float default."""
-    if tol is not None:
-        return tol
-    for group in value_groups:
-        for v in group:
-            if isinstance(v, float):
-                return 1e-9
-    return 0
 
 
 @dataclass(frozen=True)
@@ -127,12 +116,6 @@ class ExactLorenz:
         w = xs[k] - xs[k - 1]
         return ((ys[k - 1] * w + (ys[k] - ys[k - 1]) * (x - xs[k - 1]))
                 * (self.lam // w))
-
-    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The elbows as Fractions, as ``LorenzCurve.points`` holds them."""
-        D, scale = self.xs[-1], self.scale
-        return tuple((Fraction(x, D), Fraction(y, scale))
-                     for x, y in zip(self.xs, self.ys))
 
 
 def exact_lorenz(p, ctx: GibbsContext) -> ExactLorenz:
@@ -242,7 +225,7 @@ def _float_tol(tol, pv, qv, ctx: GibbsContext) -> Number:
     """Comparison tolerance of the float sweeps; checks the entries and
     the norms too."""
     _require_finite(pv, qv)
-    t = _auto_tol(tol, pv, qv, ctx.g)
+    t = auto_tol(tol, pv, qv, ctx.g)
     _check_norms(pv, qv, max(t, 1e-9) if isinstance(t, float) else t)
     return t
 
@@ -274,7 +257,7 @@ def majorization_witness(p, q, ctx: GibbsContext,
         return (Fraction(x, ctx.D), Fraction(pn, pd * lp.scale),
                 Fraction(qn, qd * lq.scale))
     _require_finite(pv, qv)
-    t = _auto_tol(tol, pv, qv, ctx.g)
+    t = auto_tol(tol, pv, qv, ctx.g)
     return _float_violation(lorenz_curve(pv, ctx), lorenz_curve(qv, ctx), t)
 
 
@@ -352,7 +335,7 @@ def majorizes_classical(x: Sequence[Number], y: Sequence[Number],
     if len(x) != len(y):
         raise DomainError("vectors must have equal length")
     _require_finite(x, y)
-    t = _auto_tol(tol, x, y)
+    t = auto_tol(tol, x, y)
     _check_norms(x, y, max(t, 1e-9) if isinstance(t, float) else t)
     xs = sorted(x, reverse=True)
     ys = sorted(y, reverse=True)

@@ -23,9 +23,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
-                   coerce_exact, make_edp_step)
-from .majorization import (exact_lorenz, lorenz_violation,
-                           majorization_witness)
+                   auto_tol, coerce_exact, make_edp_step)
+from .majorization import exact_lorenz, majorization_witness
 
 _ZERO = Fraction(0)
 
@@ -99,23 +98,24 @@ def compose_edps_same_pair(a: EdpStep, b: EdpStep,
 # internal exact machinery (rational mode only); ``target`` is the integer
 # Lorenz curve of q from the majorisation kernel
 
-def _dominant(y, ctx, target):
-    return lorenz_violation(exact_lorenz(y, ctx), target) is None
-
-
 def _feas_cap(x, g, a, b):
     """Largest net mass one step can move from a to b (needs r_a > r_b)."""
     return min(g[a], g[b]) * (x[a] / g[a] - x[b] / g[b])
 
 
 def _dominance_cap(x, ctx, target, g, a, b, delta_hi):
-    """Largest d in [0, delta_hi] keeping (x - d e_a + d e_b) >=_T target.
+    """delta_hi when the shifted state (x - d e_a + d e_b) at d = delta_hi
+    thermo-majorises the target; otherwise the largest d such that every
+    shifted state on [0, d] does.
 
-    Piecewise analysis: between ratio-crossing values of d the curve value at
-    each target elbow is affine in d, so the binding d solves a linear
-    equation inside one regime.
+    Between ratio-crossing values of d the beta-order is fixed, so the slack
+    of the shifted curve over the target at each target elbow is affine in d
+    and the binding d is a root of the line through the slacks at the two
+    ends of one regime.  Checking the target elbows suffices: between them
+    the shifted curve is concave and the target linear.
     """
     n = len(x)
+    q_at = [target.at(c) for c in target.xs]
 
     def shifted(d):
         y = list(x)
@@ -123,9 +123,17 @@ def _dominance_cap(x, ctx, target, g, a, b, delta_hi):
         y[b] += d
         return y
 
-    if _dominant(shifted(delta_hi), ctx, target):
+    def slack(d):
+        """Slacks at the target elbows as integers over ``y.scale`` (times
+        the factor ``target.scale * lam`` shared by every d), and
+        ``y.scale``."""
+        y = exact_lorenz(shifted(d), ctx)
+        return ([y.at(c) * target.scale - v * y.scale
+                 for c, v in zip(target.xs, q_at)], y.scale)
+
+    s_hi, k_hi = slack(delta_hi)
+    if min(s_hi) >= 0:
         return delta_hi
-    q_elbows = target.points()
     crits = set()
     for j in range(n):
         for i, s in ((a, Fraction(-1)), (b, Fraction(1))):
@@ -140,41 +148,18 @@ def _dominance_cap(x, ctx, target, g, a, b, delta_hi):
                     crits.add(d)
     grid = [_ZERO] + sorted(crits) + [delta_hi]
     best = _ZERO
+    s0, k0 = slack(_ZERO)
     for d0, d1 in zip(grid, grid[1:]):
-        mid = (d0 + d1) / 2
-        order = exact_lorenz(shifted(mid), ctx).order
-        bind = d1
-        ok_at_d0 = True
-        for c, v in q_elbows:
-            cum_g = _ZERO
-            const = _ZERO
-            coef = _ZERO
-            for i in order:
-                si = Fraction(-1) if i == a else (
-                    Fraction(1) if i == b else _ZERO)
-                if c <= cum_g + g[i]:
-                    frac = (c - cum_g) / g[i]
-                    const += frac * x[i]
-                    coef += frac * si
-                    break
-                cum_g += g[i]
-                const += x[i]
-                coef += si
-            if const + coef * d0 - v < 0:
-                ok_at_d0 = False
-                break
-            if coef < 0:
-                root = (v - const) / coef
-                if root < bind:
-                    bind = root
-        if not ok_at_d0:
+        if min(s0) < 0:
             break
-        if bind < d1:
-            if bind > best:
-                best = bind
+        s1, k1 = (s_hi, k_hi) if d1 == delta_hi else slack(d1)
+        roots = [d0 + (d1 - d0) * Fraction(u * k1, u * k1 - v * k0)
+                 for u, v in zip(s0, s1) if v < 0]
+        if roots:
+            best = min(roots)
             break
-        best = d1
-    if not _dominant(shifted(best), ctx, target):
+        best, s0, k0 = d1, s1, k1
+    if min(slack(best)[0]) < 0:
         raise SynthesisError("internal: dominance cap computation failed")
     return best
 
@@ -235,16 +220,17 @@ def _run_phases(p, q, g, ctx, phase_levels, asc, target, max_rounds=120):
     transfers = []
     fixed = set()
 
+    def ratio(i):
+        return x[i] / g[i]
+
     def try_xfer(a, b, delta, origin):
+        """Move up to delta from a to b (ratio(a) > ratio(b)), capped so the
+        state keeps thermo-majorising the target; returns the mass moved."""
         if delta <= 0:
             return _ZERO
-        y = list(x)
-        y[a] -= delta
-        y[b] += delta
-        if not _dominant(y, ctx, target):
-            delta = _dominance_cap(x, ctx, target, g, a, b, delta)
-            if delta <= 0:
-                return _ZERO
+        delta = _dominance_cap(x, ctx, target, g, a, b, delta)
+        if delta <= 0:
+            return _ZERO
         j_ex, j_df = _slot_positions(x, ctx, a, b)
         x[a] -= delta
         x[b] += delta
@@ -258,48 +244,36 @@ def _run_phases(p, q, g, ctx, phase_levels, asc, target, max_rounds=120):
             if rounds > max_rounds:
                 raise _Unreachable(f"phase for level {b} did not converge")
             progressed = False
+            filling = q[b] > x[b]
             partners = sorted((i for i in range(n) if i not in fixed and i != b),
-                              key=lambda i: x[i] / g[i], reverse=not asc)
+                              key=ratio, reverse=not asc)
             for a in partners:
                 need = q[b] - x[b]
                 if need == 0:
                     break
-                if g[a] == g[b]:
-                    continue
-                if need > 0 and x[a] / g[a] > x[b] / g[b]:
-                    if try_xfer(a, b, min(need, _feas_cap(x, g, a, b)),
-                                "phase") > 0:
-                        progressed = True
-                elif need < 0 and x[b] / g[b] > x[a] / g[a]:
-                    if try_xfer(b, a, min(-need, _feas_cap(x, g, b, a)),
-                                "phase") > 0:
+                src, dst = (a, b) if filling else (b, a)
+                if g[a] != g[b] and ratio(src) > ratio(dst):
+                    delta = min(abs(need), _feas_cap(x, g, src, dst))
+                    if try_xfer(src, dst, delta, "phase") > 0:
                         progressed = True
             if x[b] != q[b] and not progressed:
+                # transit: move mass between two other levels so that a
+                # pipe from or to b opens up in the next round
                 ps = sorted((i for i in range(n) if i not in fixed and i != b),
-                            key=lambda i: x[i] / g[i])
-                rb = x[b] / g[b]
-                filling = q[b] > x[b]
+                            key=ratio)
                 for lo in ps:
-                    rlo = x[lo] / g[lo]
-                    if (filling and rlo <= rb) or (not filling and rlo >= rb):
+                    src, dst = (lo, b) if filling else (b, lo)
+                    if ratio(src) <= ratio(dst):
                         continue
                     for hi in reversed(ps):
                         if hi == lo or g[hi] == g[lo]:
                             continue
-                        if filling:
-                            if x[hi] / g[hi] <= rlo:
-                                continue
-                            if try_xfer(hi, lo, _feas_cap(x, g, hi, lo),
-                                        "transit") > 0:
-                                progressed = True
-                                break
-                        else:
-                            if x[hi] / g[hi] >= rlo:
-                                continue
-                            if try_xfer(lo, hi, _feas_cap(x, g, lo, hi),
-                                        "transit") > 0:
-                                progressed = True
-                                break
+                        src, dst = (hi, lo) if filling else (lo, hi)
+                        if ratio(src) > ratio(dst) and try_xfer(
+                                src, dst, _feas_cap(x, g, src, dst),
+                                "transit") > 0:
+                            progressed = True
+                            break
                     if progressed:
                         break
             if x[b] != q[b] and not progressed:
@@ -336,17 +310,12 @@ def _greedy_balanced(p, q, g, ctx, target, step_limit=None):
                               min(max(over_a, under_b), fc)}:
                     if delta <= 0:
                         continue
+                    delta = _dominance_cap(x, ctx, target, g, a, b, delta)
+                    if delta <= 0:
+                        continue
                     y = list(x)
                     y[a] -= delta
                     y[b] += delta
-                    if not _dominant(y, ctx, target):
-                        delta = _dominance_cap(x, ctx, target, g, a, b,
-                                               delta)
-                        if delta <= 0:
-                            continue
-                        y = list(x)
-                        y[a] -= delta
-                        y[b] += delta
                     err0 = sum(abs(x[i] - q[i]) for i in range(n))
                     err = sum(abs(y[i] - q[i]) for i in range(n))
                     if err >= err0:
@@ -466,8 +435,7 @@ def verify_sequence(seq: EdpSequence, p, q, ctx: GibbsContext,
 
     pv = as_values(p)
     qv = as_values(q)
-    exact = not any(isinstance(v, float) for v in (*pv, *qv, *ctx.g))
-    t = 0 if (tol is None and exact) else (tol if tol is not None else 1e-9)
+    t = auto_tol(tol, pv, qv, ctx.g)
     x = pv
     for idx, step in enumerate(seq.steps):
         if not 0 <= step.p_down <= 1:

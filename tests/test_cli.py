@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from thermo_ops import decompose, gibbs_context_from_weights, thermo_transposition
-from thermo_ops.cli import _thread_count, main
+from thermo_ops.cli import MAX_REGION_ROWS, _thread_count, main
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
                            write_json_atomic)
@@ -158,6 +158,20 @@ class TestJc:
         assert len(lines) == 1
         assert lines[0].startswith("THERMO-OPS-ERROR code=DOMAIN")
 
+    @pytest.mark.parametrize("argv", [
+        ("--step", "1e-300"),
+        ("--beta-min", "1", "--beta-max", "1e308", "--step", "1"),
+        # 100001 rows, one above the cap
+        ("--beta-min", "0.05", "--beta-max", "10.05", "--step", "1e-4")])
+    def test_region_grid_over_cap_is_domain_error(self, argv, capsys):
+        assert run("jc-region", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("THERMO-OPS-ERROR code=DOMAIN")
+        assert str(MAX_REGION_ROWS) in lines[0]
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_region_bad_thread_env_is_format_error(self, value, tmp_path,
                                                    monkeypatch, capsys):
@@ -233,6 +247,47 @@ class TestErrorPaths:
                      "--q", d / "q.json", "--ctx", d / "ctx.json")
         assert status == 1
         assert "code=DOMAIN" in capsys.readouterr().err
+
+
+GOOD_TERM = {"weight": ["1", "1"], "lifted_perm": [0, 1, 2],
+             "cols": [["1", "0"], ["0", "1"]]}
+WRONG_SHAPES = [
+    ("p", {"x": 5}),
+    ("t", {"n": 2, "cols": 5}),
+    ("dec", {"terms": 5}),
+    ("dec", {"terms": [5]}),
+    ("dec", {"terms": [{**GOOD_TERM, "lifted_perm": 5}]}),
+    ("dec", {"terms": [{**GOOD_TERM, "cols": 7}]}),
+    ("ctx", {"energies": "ab"}),
+    ("ctx", {"energies": [0.0, 1.0], "max_denominator": "x"}),
+    ("ctx", {"g": [["2", "3"], ["1", "3"]], "d": 5, "D": 3}),
+]
+
+
+class TestWrongShapeFiles:
+    """A file whose fields have the wrong JSON type is a format error."""
+
+    @pytest.mark.parametrize("kind,content", WRONG_SHAPES)
+    def test_exits_two_with_one_line(self, kind, content, workdir, capsys):
+        d, _ = workdir
+        write_json_atomic(d / "bad.json", content)
+        files = {"p": d / "p.json", "q": d / "q.json", "ctx": d / "ctx.json",
+                 "t": d / "bad.json", "dec": d / "bad.json"}
+        files[kind] = d / "bad.json"
+        if kind == "t":
+            argv = ("decompose", "--t", files["t"], "--ctx", files["ctx"])
+        elif kind == "dec":
+            argv = ("simulate", "--dec", files["dec"], "--p", files["p"],
+                    "--samples", 10, "--seed", 1)
+        else:
+            argv = ("check-majorization", "--p", files["p"],
+                    "--q", files["q"], "--ctx", files["ctx"])
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("THERMO-OPS-ERROR code=FORMAT")
 
 
 class TestFloatMode:

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from thermo_ops import (DomainError, Population, StochasticMatrix,
+from thermo_ops import (ConvexDecomposition, DomainError, Population,
+                        StochasticMatrix, ThermoPermutation,
                         gibbs_context_from_weights, is_detailed_balanced,
                         is_gibbs_preserving, make_edp_step,
                         make_gibbs_context, thermo_transposition,
                         validate_stochastic)
+from thermo_ops.core import auto_tol
 from thermo_ops.linprog import gibbs_map_exists
 
 F = Fraction
@@ -56,6 +58,15 @@ class TestMakeGibbsContext:
         with pytest.raises(DomainError):
             gibbs_context_from_weights([F(1, 2), F(1, 3)])
 
+    @pytest.mark.parametrize("energies,max_denominator", [
+        ([-1e12, 0.0], 50),  # exp overflows
+        ([1000.0, 1000.0], 50),  # every Boltzmann factor underflows
+        ([0.0, 1e6], None),  # one float-mode weight underflows to zero
+        ([10**400, 0.0], 50)])  # an integer beyond the float range
+    def test_out_of_float_range(self, energies, max_denominator):
+        with pytest.raises(DomainError):
+            make_gibbs_context(energies, max_denominator=max_denominator)
+
 
 class TestPopulation:
     def test_rejects_negative(self):
@@ -70,6 +81,10 @@ class TestPopulation:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(DomainError):
             Population((bad, 1.0))
+
+    def test_norm_overflow_rejected(self):
+        with pytest.raises(DomainError, match="overflows"):
+            Population((F(10**400), 0.5))
 
     def test_norm_free(self):
         assert Population((F(1, 2), F(1, 4))).norm == F(3, 4)
@@ -178,3 +193,32 @@ class TestEdpStep:
         m = step.as_matrix(two_thirds_ctx)
         g = two_thirds_ctx.g
         assert m.entry(1, 0) * g[0] == m.entry(0, 1) * g[1]
+
+
+class TestTolerancePolicy:
+    def test_auto_tol(self):
+        assert auto_tol(None, (F(1), 2)) == 0
+        assert auto_tol(None, (F(1),), (0.5,)) == 1e-9
+        assert auto_tol(F(1, 10), (0.5,)) == F(1, 10)
+
+
+class TestConvexDecomposition:
+    @staticmethod
+    def terms(weights):
+        ident = ThermoPermutation((0, 1), StochasticMatrix.identity(2))
+        return tuple((w, ident) for w in weights)
+
+    def test_exact_weights_must_sum_to_exactly_one(self):
+        ConvexDecomposition(self.terms([F(1, 3), F(2, 3)]))
+        with pytest.raises(DomainError, match="sum to one"):
+            ConvexDecomposition(self.terms([F(1, 3), F(2, 3) - F(1, 10**12)]))
+
+    def test_float_weights_keep_the_float_tolerance(self):
+        ConvexDecomposition(self.terms([0.25, 0.75 - 1e-12]))
+        with pytest.raises(DomainError, match="sum to one"):
+            ConvexDecomposition(self.terms([0.25, 0.75 - 1e-6]))
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan")])
+    def test_negative_or_nan_weight_rejected(self, bad):
+        with pytest.raises(DomainError, match="nonnegative"):
+            ConvexDecomposition(self.terms([bad, 1.0]))

@@ -8,8 +8,10 @@ from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         is_detailed_balanced, make_edp_step, synthesize,
                         thermo_majorizes, thermo_transposition,
                         validate_stochastic, verify_sequence)
+from thermo_ops.majorization import exact_lorenz
+from thermo_ops.synthesis import _dominance_cap, _feas_cap
 
-from conftest import rand_ctx, rand_edp_image, rand_pop
+from conftest import rand_ctx, rand_edp_image, rand_plt_image, rand_pop
 
 F = Fraction
 
@@ -191,6 +193,58 @@ class TestSynthesize:
         seq = synthesize(p, q, seven_ctx)
         assert seq.relabel_in == beta_order(p, seven_ctx).perm
         assert seq.relabel_out == beta_order(q, seven_ctx).perm
+
+
+class TestDominanceCap:
+    """The cap against a grid scan of the same shifted states.
+
+    A state's Lorenz curve value at a fixed slot is convex in the state, so
+    the shifted states can stop dominating inside [0, delta_hi] and dominate
+    again at delta_hi.  The cap takes delta_hi whenever the state there
+    dominates (one step lands there directly); otherwise it stops at the
+    first loss of dominance.
+    """
+
+    GRID = 64
+
+    def test_cap_matches_grid_scan(self):
+        rng = random.Random(271)
+        capped = full = dipped = 0
+        for trial in range(150):
+            ctx = rand_ctx(rng, nmax=5, dmax_total=60)
+            g = [F(v) for v in ctx.g]
+            p = rand_pop(rng, ctx.n)
+            image = rand_edp_image if trial % 2 else rand_plt_image
+            q = image(rng, p, ctx, rng.randint(1, 10))
+            target = exact_lorenz(q, ctx)
+            pairs = [(a, b) for a in range(ctx.n) for b in range(ctx.n)
+                     if g[a] != g[b] and p[a] / g[a] > p[b] / g[b]]
+            if not pairs:
+                continue
+            a, b = pairs[rng.randrange(len(pairs))]
+            delta_hi = _feas_cap(p, g, a, b)
+
+            def shifted(d):
+                y = list(p)
+                y[a] -= d
+                y[b] += d
+                return y
+
+            d = _dominance_cap(list(p), ctx, target, g, a, b, delta_hi)
+            assert 0 <= d <= delta_hi
+            assert thermo_majorizes(shifted(d), q, ctx)
+            fails = [k for k in range(self.GRID + 1)
+                     if not thermo_majorizes(
+                         shifted(delta_hi * F(k, self.GRID)), q, ctx)]
+            if not fails or fails[-1] < self.GRID:
+                assert d == delta_hi
+                full += 1
+                dipped += bool(fails)
+            else:
+                assert d < delta_hi * F(fails[0], self.GRID)
+                capped += 1
+        # both outcomes, and a dip inside [0, delta_hi], are exercised
+        assert capped >= 10 and full >= 10 and dipped >= 1
 
 
 class TestVerifySequence:
