@@ -190,8 +190,10 @@ def simulate_mean(dec: ConvexDecomposition, p, samples: int, rng_seed: int):
     """Empirical mean over ``samples`` draws (multinomial counts), plus the
     exact mixture image and the per-coordinate binomial standard deviations.
     """
-    if samples <= 0:
-        raise DomainError("samples must be positive")
+    if not 1 <= samples <= 2**63 - 1:  # numpy draws the counts as int64
+        raise DomainError("samples must lie in [1, 2**63 - 1]")
+    if rng_seed < 0:
+        raise DomainError("the seed must be nonnegative")
     rng = np.random.default_rng(rng_seed)
     weights = np.array([float(w) for w, _ in dec.terms])
     weights = weights / weights.sum()

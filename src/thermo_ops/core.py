@@ -18,6 +18,9 @@ Number = Union[int, float, Fraction]
 
 #: widest denominator D we allow for the common-denominator weight form
 MAX_WEIGHT_DENOMINATOR = 10**9
+#: largest total the fit in ``make_gibbs_context`` scans up to; each total
+#: costs a few microseconds, so 10^6 of them take seconds
+MAX_FIT_TOTAL = 10**6
 
 
 class ThermoOpsError(Exception):
@@ -85,7 +88,10 @@ def make_gibbs_context(energies: Sequence[float],
 
     The common-denominator fit scans every total ``D <= n * max_denominator``
     and keeps the one minimising the worst per-level error, so small exact
-    cases such as weights (2/3, 1/3) are recovered with D = 3.  Passing
+    cases such as weights (2/3, 1/3) are recovered with D = 3.  A fit whose
+    largest total ``n * max_denominator`` exceeds ``MAX_FIT_TOTAL`` is a
+    DomainError before the scan starts; ``gibbs_context_from_weights`` takes
+    exact weights up to ``MAX_WEIGHT_DENOMINATOR`` instead.  Passing
     ``max_denominator=None`` skips the rational form entirely (float mode).
     """
     try:
@@ -105,10 +111,11 @@ def make_gibbs_context(energies: Sequence[float],
     if max_denominator < 1:
         raise DomainError("max_denominator must be >= 1")
     n = len(energies)
-    if n * max_denominator > MAX_WEIGHT_DENOMINATOR:
+    if n * max_denominator > MAX_FIT_TOTAL:
         raise DomainError(
-            f"denominator budget {n * max_denominator} exceeds configured "
-            f"width {MAX_WEIGHT_DENOMINATOR}")
+            f"fit would scan totals up to {n * max_denominator}, above the "
+            f"cap of {MAX_FIT_TOTAL}; lower max_denominator or give exact "
+            "weights")
     best: tuple[float, int, list[int]] | None = None
     for total in range(n, n * max_denominator + 1):
         d = [max(1, round(gi * total)) for gi in gf]
@@ -251,10 +258,10 @@ def validate_stochastic(T: StochasticMatrix, tol: Number = 1e-9) -> bool:
     n = T.n
     if any(len(c) != n for c in T.cols):
         raise DomainError("matrix must be square")
-    for col in T.cols:
-        if any(v < -tol for v in col):
+    for col in T.cols:  # negated tests, so that NaN fails too
+        if any(not v >= -tol for v in col):
             return False
-        if abs(sum(col) - 1) > tol:
+        if not abs(sum(col) - 1) <= tol:
             return False
     return True
 
@@ -314,10 +321,9 @@ class EdpStep:
         return StochasticMatrix(tuple(tuple(c) for c in cols))
 
 
-def make_edp_step(ctx: GibbsContext, lo: int, hi: int,
-                  p_down: Number) -> EdpStep:
-    """Validated constructor; rejects degenerate pairs, which admit no
-    detailed-balanced process with distinct frequencies."""
+def check_level_pair(ctx: GibbsContext, lo: int, hi: int) -> None:
+    """The level-pair checks of every two-level step constructor: two
+    distinct levels in range, not degenerate, ``hi`` the higher-energy one."""
     n = ctx.n
     if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
         raise DomainError("step needs two distinct levels in range")
@@ -328,6 +334,13 @@ def make_edp_step(ctx: GibbsContext, lo: int, hi: int,
             raise DomainError("hi must be the higher-energy level")
     elif ctx.energies[hi] < ctx.energies[lo]:
         raise DomainError("hi must be the higher-energy level")
+
+
+def make_edp_step(ctx: GibbsContext, lo: int, hi: int,
+                  p_down: Number) -> EdpStep:
+    """Validated constructor; rejects degenerate pairs, which admit no
+    detailed-balanced process with distinct frequencies."""
+    check_level_pair(ctx, lo, hi)
     if not 0 <= p_down <= 1:
         raise DomainError("p_down must lie in [0, 1]")
     return EdpStep(lo, hi, p_down)

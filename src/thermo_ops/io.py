@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Any
 
 from .core import (ConvexDecomposition, FormatError, GibbsContext, Number,
-                   Population, StochasticMatrix, ThermoPermutation,
-                   gibbs_context_from_weights, make_gibbs_context)
+                   Population, StochasticMatrix, ThermoPermutation, auto_tol,
+                   gibbs_context_from_weights, make_gibbs_context,
+                   validate_stochastic)
 from .synthesis import EdpSequence
 
 
@@ -152,6 +153,9 @@ def decomposition_to_json(dec: ConvexDecomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> ConvexDecomposition:
+    """Each term must be column-stochastic (zero tolerance for exact
+    entries) and carry a permutation of ``0..len-1``; whether the two agree
+    needs the context, which the file does not hold."""
     _object(obj, "decomposition file")
     terms = []
     for term in _array(_require(obj, "terms"), "terms"):
@@ -160,8 +164,14 @@ def decomposition_from_json(obj: dict) -> ConvexDecomposition:
         perm = tuple(_integer(v, "each lifted_perm entry")
                      for v in _array(_require(term, "lifted_perm"),
                                      "lifted_perm"))
-        cols = _square(_require(term, "cols"), "term cols")
-        terms.append((weight, ThermoPermutation(perm, StochasticMatrix(cols))))
+        if sorted(perm) != list(range(len(perm))):
+            raise FormatError("each lifted_perm must be a permutation of "
+                              "0..len-1")
+        matrix = StochasticMatrix(_square(_require(term, "cols"),
+                                          "term cols"))
+        if not validate_stochastic(matrix, auto_tol(None, *matrix.cols)):
+            raise FormatError("each term's cols must be column-stochastic")
+        terms.append((weight, ThermoPermutation(perm, matrix)))
     return ConvexDecomposition(tuple(terms))
 
 

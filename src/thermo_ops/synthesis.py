@@ -4,20 +4,22 @@ Given populations with ``p >=_T q`` in rational mode, ``synthesize`` produces
 a finite list of two-level detailed-balanced steps whose ordered application
 maps p to q exactly.  The solver is layered:
 
-* when p and q share a beta-order, the classical transfer loop runs on the
-  embedded vectors (largest-excess slot to the first later deficit slot); in
-  this aligned regime every slot transfer is realisable as a level step and
-  the run finishes within D - 1 transfers;
+* when p and q share a beta-order, the classical transfer loop of the
+  embedding runs on the level vector: excess levels drain their slots from
+  the tail, deficit levels fill theirs from the head, one slot at a time,
+  so each slot follows from its level's sum and each transfer settles one;
+  the run ends within D - 1 transfers;
 * otherwise a portfolio of exact greedy schedules is tried, each move capped
   so that every intermediate state still thermo-majorizes the target.
 
-Targets that are thermo-majorized but not reachable by any two-level
-detailed-balanced sequence do exist; for those ``synthesize`` raises
-``SynthesisError`` rather than returning an approximation.
+No strategy builds the D slots.  Targets that are thermo-majorized but not
+reachable by any two-level detailed-balanced sequence do exist; for those
+``synthesize`` raises ``SynthesisError`` rather than an approximation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -177,41 +179,41 @@ class _Unreachable(Exception):
 
 
 def _synth_aligned(p, q, d, order, order_q):
-    """Embedded transfer loop for beta-aligned pairs (``order`` and
-    ``order_q`` are the beta-orders of p and q); provably exact and at most
-    D - 1 transfers (see module docstring)."""
+    """Classical transfer loop on the level vector for beta-aligned pairs
+    (beta-orders ``order`` of p and ``order_q`` of q); see module docstring."""
     if order_q != order:
         raise _Unreachable("pair is not beta-aligned")
-    u = []
-    v = []
-    owner = []
+    offset, start = {}, 0
     for i in order:
-        u.extend([p[i] / d[i]] * d[i])
-        v.extend([q[i] / d[i]] * d[i])
-        owner.extend([i] * d[i])
-    total = len(u)
+        offset[i], start = start, start + d[i]
+    x = list(p)
+
+    def active(i):
+        """(1-based slot, value, gap to target) of the slot level i moves
+        next, given that c of its d[i] slots are still off target."""
+        e = (p[i] - q[i]) / d[i]
+        c = math.ceil((x[i] - q[i]) / e)
+        gap = x[i] - q[i] - (c - 1) * e
+        slot = offset[i] + (c if e > 0 else d[i] - c + 1)
+        return slot, q[i] / d[i] + gap, gap
+
     transfers = []
-    guard = 0
-    while u != v:
-        guard += 1
-        if guard > total:
-            raise _Unreachable("aligned loop exceeded the slot budget")
-        j_ex = max(j for j in range(total) if u[j] > v[j])
-        j_df = next((j for j in range(j_ex + 1, total) if u[j] < v[j]), None)
-        if j_df is None:
+    while x != q:
+        a = next(i for i in reversed(order) if x[i] > q[i])
+        later = order[order.index(a) + 1:]
+        b = next((i for i in later if x[i] < q[i]), None)
+        if b is None:
             raise _Unreachable("no deficit slot after the last excess slot")
-        delta = min(u[j_ex] - v[j_ex], v[j_df] - u[j_df])
-        lam = 1 - delta / (u[j_ex] - u[j_df])
-        u[j_ex] -= delta
-        u[j_df] += delta
-        a, b = owner[j_ex], owner[j_df]
-        if a == b:
-            raise _Unreachable("intra-block transfer in aligned loop")
-        transfers.append((a, b, delta, j_ex + 1, j_df + 1, lam, "aligned"))
+        (j_ex, u_ex, gap_ex), (j_df, u_df, gap_df) = active(a), active(b)
+        delta = min(gap_ex, -gap_df)
+        lam = 1 - delta / (u_ex - u_df)
+        x[a] -= delta
+        x[b] += delta
+        transfers.append((a, b, delta, j_ex, j_df, lam, "aligned"))
     return transfers
 
 
-def _run_phases(p, q, g, ctx, phase_levels, asc, target, max_rounds=120):
+def _run_phases(p, q, g, ctx, phase_levels, asc, target):
     """Settle one level at a time to its exact target, moving mass only
     between unsettled levels; transit boosts reroute mass through middle
     levels when direct pipes are too narrow."""
@@ -241,7 +243,7 @@ def _run_phases(p, q, g, ctx, phase_levels, asc, target, max_rounds=120):
         rounds = 0
         while x[b] != q[b]:
             rounds += 1
-            if rounds > max_rounds:
+            if rounds > 120:
                 raise _Unreachable(f"phase for level {b} did not converge")
             progressed = False
             filling = q[b] > x[b]
@@ -284,15 +286,13 @@ def _run_phases(p, q, g, ctx, phase_levels, asc, target, max_rounds=120):
     return transfers
 
 
-def _greedy_balanced(p, q, g, ctx, target, step_limit=None):
+def _greedy_balanced(p, q, g, ctx, target):
     """Fallback: snap-preferring greedy over all ratio-directional pairs."""
     n = len(p)
-    if step_limit is None:
-        step_limit = 8 * n * n
     x = list(p)
     transfers = []
     while x != list(q):
-        if len(transfers) > step_limit:
+        if len(transfers) > 8 * n * n:
             raise _Unreachable("greedy step limit reached")
         best = None
         for a in range(n):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
-                   make_edp_step)
+                   check_level_pair, make_edp_step)
 from .majorization import beta_order, thermo_majorizes
 
 
@@ -42,13 +42,7 @@ class PltStep:
 
 def make_plt_step(ctx: GibbsContext, lo: int, hi: int,
                   epsilon: Number) -> PltStep:
-    if ctx.degenerate_pair(lo, hi):
-        raise DomainError(f"levels {lo} and {hi} are degenerate")
-    if ctx.rational:
-        if ctx.g[hi] > ctx.g[lo]:
-            raise DomainError("hi must be the higher-energy level")
-    elif ctx.energies[hi] < ctx.energies[lo]:
-        raise DomainError("hi must be the higher-energy level")
+    check_level_pair(ctx, lo, hi)
     if not 0 <= epsilon <= 1:
         raise DomainError("epsilon must lie in [0, 1]")
     return PltStep(lo, hi, epsilon)

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,26 @@ class TestDecomposeSimulate:
         first = capsys.readouterr().out
         assert run(*args) == 0
         assert capsys.readouterr().out == first
+
+
+class TestSimulateArguments:
+    """Sample counts numpy cannot draw and negative seeds are domain
+    errors, not tracebacks."""
+
+    @pytest.mark.parametrize("samples,seed", [
+        (10**20, 1), (2**63, 1), (0, 1), (-5, 1), (10, -1)])
+    def test_out_of_range_is_domain_error(self, samples, seed, workdir,
+                                          capsys):
+        d, ctx = workdir
+        dec = decompose(thermo_transposition(ctx, 0, 1).as_matrix(ctx), ctx)
+        write_json_atomic(d / "dec.json", decomposition_to_json(dec))
+        assert run("simulate", "--dec", d / "dec.json", "--p", d / "p.json",
+                   "--samples", samples, "--seed", seed) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("THERMO-OPS-ERROR code=DOMAIN")
 
 
 class TestCone:
@@ -288,6 +309,59 @@ class TestWrongShapeFiles:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("THERMO-OPS-ERROR code=FORMAT")
+
+
+DEC_TERM = {"weight": ["1", "1"], "lifted_perm": [0, 1, 2],
+            "cols": [[1, 0], [0, 1]]}
+BAD_TERMS = [
+    {**DEC_TERM, "cols": [[3, -2], [0, 1]]},
+    {**DEC_TERM, "cols": [[1, 1], [0, 1]]},
+    {**DEC_TERM, "cols": [[["999999999999", "1000000000000"], 0], [0, 1]]},
+    {**DEC_TERM, "cols": [[0.5, 0.6], [0.0, 1.0]]},
+    {**DEC_TERM, "lifted_perm": [0, 0, 2]},
+    {**DEC_TERM, "lifted_perm": [1, 2, 3]},
+]
+
+
+class TestDecompositionContent:
+    """A term that is not column-stochastic (zero tolerance for exact
+    entries) or whose lifted_perm is not a permutation is a format error."""
+
+    @pytest.mark.parametrize("term", BAD_TERMS)
+    def test_bad_term_exits_two(self, term, workdir, capsys):
+        d, _ = workdir
+        write_json_atomic(d / "dec.json", {"n": 2, "terms": [term]})
+        assert run("simulate", "--dec", d / "dec.json", "--p", d / "p.json",
+                   "--samples", 10, "--seed", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("THERMO-OPS-ERROR code=FORMAT")
+
+    @pytest.mark.parametrize("cols", [[[1, 0], [0, 1]],
+                                      [[0.5, 0.5 + 1e-12], [0.0, 1.0]]])
+    def test_stochastic_term_accepted(self, cols, workdir):
+        d, _ = workdir
+        term = {**DEC_TERM, "cols": cols}
+        write_json_atomic(d / "dec.json", {"n": 2, "terms": [term]})
+        assert run("simulate", "--dec", d / "dec.json", "--p", d / "p.json",
+                   "--samples", 10, "--seed", 1) == 0
+
+
+class TestGibbsFitCap:
+    def test_wide_fit_refused_up_front(self, workdir, capsys):
+        d, _ = workdir
+        write_json_atomic(d / "fit.json", {"energies": [0, 0.7],
+                                           "max_denominator": 400000000})
+        start = time.perf_counter()
+        status = run("check-majorization", "--p", d / "p.json",
+                     "--q", d / "q.json", "--ctx", d / "fit.json")
+        assert time.perf_counter() - start < 5
+        assert status == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("THERMO-OPS-ERROR code=DOMAIN")
 
 
 class TestFloatMode:

@@ -10,7 +10,7 @@ from thermo_ops import (ConvexDecomposition, DomainError, Population,
                         is_gibbs_preserving, make_edp_step,
                         make_gibbs_context, thermo_transposition,
                         validate_stochastic)
-from thermo_ops.core import auto_tol
+from thermo_ops.core import MAX_FIT_TOTAL, auto_tol
 from thermo_ops.linprog import gibbs_map_exists
 
 F = Fraction
@@ -43,6 +43,13 @@ class TestMakeGibbsContext:
     def test_denominator_budget_enforced(self):
         with pytest.raises(DomainError):
             make_gibbs_context([0.0, 1.0], max_denominator=10**9)
+
+    def test_fit_cap(self):
+        with pytest.raises(DomainError, match="cap"):
+            make_gibbs_context([0.0, 0.7],
+                               max_denominator=MAX_FIT_TOTAL // 2 + 1)
+        with pytest.raises(DomainError, match="cap"):
+            make_gibbs_context([0.0] * 5, max_denominator=MAX_FIT_TOTAL // 4)
 
     def test_float_mode(self):
         ctx = make_gibbs_context([0.0, 0.5], max_denominator=None)
@@ -96,6 +103,10 @@ class TestValidateStochastic:
 
     def test_bad_column_sum(self):
         bad = StochasticMatrix(((F(1), F(1, 2)), (F(0), F(1, 2))))
+        assert not validate_stochastic(bad, 1e-9)
+
+    def test_nan_entry(self):
+        bad = StochasticMatrix(((math.nan, 1.0), (0.0, 1.0)))
         assert not validate_stochastic(bad, 1e-9)
 
     def test_thermo_transposition(self, two_thirds_ctx):

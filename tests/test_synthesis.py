@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         thermo_majorizes, thermo_transposition,
                         validate_stochastic, verify_sequence)
 from thermo_ops.majorization import exact_lorenz
-from thermo_ops.synthesis import _dominance_cap, _feas_cap
+from thermo_ops.synthesis import _dominance_cap, _feas_cap, _synth_aligned
 
 from conftest import rand_ctx, rand_edp_image, rand_plt_image, rand_pop
 
@@ -245,6 +246,71 @@ class TestDominanceCap:
                 capped += 1
         # both outcomes, and a dip inside [0, delta_hi], are exercised
         assert capped >= 10 and full >= 10 and dipped >= 1
+
+
+def slot_level_aligned(p, q, d, order):
+    """Reference: the classical transfer loop on the materialised D slots
+    (last excess slot to the first later deficit slot)."""
+    u, v, owner = [], [], []
+    for i in order:
+        u.extend([p[i] / d[i]] * d[i])
+        v.extend([q[i] / d[i]] * d[i])
+        owner.extend([i] * d[i])
+    transfers = []
+    while u != v:
+        j_ex = max(j for j in range(len(u)) if u[j] > v[j])
+        j_df = next((j for j in range(j_ex + 1, len(u)) if u[j] < v[j]),
+                    None)
+        if j_df is None:
+            return None
+        delta = min(u[j_ex] - v[j_ex], v[j_df] - u[j_df])
+        lam = 1 - delta / (u[j_ex] - u[j_df])
+        u[j_ex] -= delta
+        u[j_df] += delta
+        transfers.append((owner[j_ex], owner[j_df], delta, j_ex + 1,
+                          j_df + 1, lam, "aligned"))
+    return transfers
+
+
+class TestAlignedLoop:
+    """The level-vector loop against the slot-level reference."""
+
+    def test_matches_slot_level_loop(self):
+        rng = random.Random(404)
+        compared = 0
+        for trial in range(600):
+            ctx = rand_ctx(rng, nmax=5, dmax_total=60)
+            p = list(rand_pop(rng, ctx.n))
+            if trial % 2:
+                w = F(rng.randint(0, 64), 64)
+                q = [w * pi + (1 - w) * gi for pi, gi in zip(p, ctx.g)]
+            else:
+                q = list(rand_edp_image(rng, p, ctx, 1))
+            order = beta_order(p, ctx).perm
+            if beta_order(q, ctx).perm != order or p == q:
+                continue
+            compared += 1
+            expected = slot_level_aligned(p, q, ctx.d, order)
+            assert expected is not None
+            assert _synth_aligned(p, q, ctx.d, order, order) == expected
+        assert compared >= 300
+
+    def test_billion_slots_in_bounded_memory(self):
+        D = 10**9
+        ctx = gibbs_context_from_weights([F(D - 3, D), F(2, D), F(1, D)])
+        p = (F(1, 2), F(1, 4), F(1, 4))
+        q = (F(1, 2), F(3, 10), F(1, 5))
+        assert beta_order(p, ctx).perm == beta_order(q, ctx).perm
+        tracemalloc.start()
+        try:
+            seq = synthesize(p, q, ctx, group=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert [r.origin for r in seq.provenance] == ["aligned", "aligned"]
+        assert [(r.j_ex, r.j_df) for r in seq.provenance] == [(1, 2), (1, 3)]
+        assert verify_sequence(seq, p, q, ctx, tol=0).ok
 
 
 class TestVerifySequence:

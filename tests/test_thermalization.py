@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from thermo_ops import (DomainError, apply_edp, apply_plt, beta_order,
-                        edp_to_plt, is_markovian_edp, is_thermalisation_of,
+                        edp_to_plt, gibbs_context_from_weights,
+                        is_markovian_edp, is_thermalisation_of,
                         make_edp_step, make_plt_step, markov_p_down_max,
                         plt_to_edp, relax, repeated_edp_limit,
                         thermo_transposition)
@@ -82,6 +83,26 @@ class TestPlt:
         t = thermo_transposition(two_thirds_ctx, 0, 1)
         with pytest.raises(DomainError):
             edp_to_plt(t, two_thirds_ctx)
+
+
+class TestLevelPairChecks:
+    """Both two-level step constructors refuse a bad level pair with the
+    same DomainError."""
+
+    @pytest.mark.parametrize("lo,hi", [(0, -1), (-3, 1), (0, 5), (1, 1),
+                                       (2, 0)])
+    def test_same_error_as_edp(self, lo, hi, seven_ctx):
+        with pytest.raises(DomainError) as edp:
+            make_edp_step(seven_ctx, lo, hi, F(1, 2))
+        with pytest.raises(DomainError) as plt:
+            make_plt_step(seven_ctx, lo, hi, F(1, 2))
+        assert str(plt.value) == str(edp.value)
+
+    def test_degenerate_pair(self):
+        ctx = gibbs_context_from_weights([F(1, 2), F(1, 4), F(1, 4)])
+        for make in (make_edp_step, make_plt_step):
+            with pytest.raises(DomainError, match="degenerate"):
+                make(ctx, 1, 2, F(1, 2))
 
 
 class TestMarkovianity:
