@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ConvexDecomposition, DomainError, EdpStep, GibbsContext,
-                   Number, StochasticMatrix, ThermoPermutation,
+                   Number, StochasticMatrix, ThermoPermutation, auto_tol,
                    is_gibbs_preserving, make_edp_step)
 
 _ZERO = Fraction(0)
@@ -43,16 +43,17 @@ def _slot_blocks(ctx: GibbsContext) -> list[int]:
 
 
 def lift(T: StochasticMatrix, ctx: GibbsContext,
-         tol: Number = 0) -> LiftedBistochastic:
+         tol: Number | None = None) -> LiftedBistochastic:
     """Embed T as the slot matrix with entries T[i|j] / d_i.
 
     Column sums are one by stochasticity; row sums are one exactly because
-    T preserves the Gibbs weights, which is checked first (within tol; zero
-    in rational mode).
+    T preserves the Gibbs weights, which is checked first (within tol, which
+    ``auto_tol`` resolves against T's entries).
     """
     ctx.require_rational()
     if T.n != ctx.n:
         raise DomainError("matrix and context dimensions differ")
+    tol = auto_tol(tol, *T.cols)
     img = T.apply(ctx.g)
     residual = max(abs(a - b) for a, b in zip(img, ctx.g))
     if residual > tol:
@@ -70,7 +71,9 @@ def lift(T: StochasticMatrix, ctx: GibbsContext,
     return LiftedBistochastic(rows)
 
 
-def is_doubly_stochastic(M: LiftedBistochastic, tol: Number = 0) -> bool:
+def is_doubly_stochastic(M: LiftedBistochastic,
+                         tol: Number | None = None) -> bool:
+    tol = auto_tol(tol, *M.rows)
     D = M.size
     for r in range(D):
         if abs(sum(M.rows[r]) - 1) > tol:
@@ -105,7 +108,7 @@ def _perfect_matching(adj: list[list[int]], D: int) -> list[int] | None:
     return perm
 
 
-def birkhoff_von_neumann(M: LiftedBistochastic, tol: Number = 0
+def birkhoff_von_neumann(M: LiftedBistochastic, tol: Number | None = None
                          ) -> list[tuple[Number, tuple[int, ...]]]:
     """Convex split into slot permutations.
 
@@ -113,6 +116,7 @@ def birkhoff_von_neumann(M: LiftedBistochastic, tol: Number = 0
     content of slot c.  Each extraction empties at least one support cell, so
     at most (D-1)^2 + 1 terms appear.  Exact when entries are rational.
     """
+    tol = auto_tol(tol, *M.rows)
     if not is_doubly_stochastic(M, tol):
         raise DomainError("matrix is not doubly stochastic within tolerance")
     D = M.size
@@ -150,14 +154,16 @@ def pull_back(perm: Sequence[int], ctx: GibbsContext) -> ThermoPermutation:
         tuple(Fraction(counts[i][j], ctx.d[j]) for i in range(n))
         for j in range(n))
     matrix = StochasticMatrix(cols)
-    if not is_gibbs_preserving(matrix, ctx, 0):
+    if not is_gibbs_preserving(matrix, ctx):
         raise DomainError("internal: pullback failed to preserve the weights")
     return ThermoPermutation(tuple(perm), matrix)
 
 
 def decompose(T: StochasticMatrix, ctx: GibbsContext,
-              tol: Number = 0) -> ConvexDecomposition:
-    """Lift, factor, pull back and merge identical factors."""
+              tol: Number | None = None) -> ConvexDecomposition:
+    """Lift, factor, pull back and merge identical factors; the tolerance
+    is resolved once against T's entries and used by every stage."""
+    tol = auto_tol(tol, *T.cols)
     lifted = lift(T, ctx, tol)
     merged: dict[tuple, tuple[Number, ThermoPermutation]] = {}
     for weight, perm in birkhoff_von_neumann(lifted, tol):

@@ -2,8 +2,11 @@
 
 Every operation is exposed as a subcommand writing JSON or CSV artifacts.
 Exit status: 0 on success, 1 on a domain error (for example synthesis from a
-non-majorizing pair), 2 on I/O or format problems.  Errors print one
-machine-parsable line to stderr: ``THERMO-OPS-ERROR code=<CODE> msg=<...>``.
+non-majorizing pair), 2 on I/O or format problems and on usage errors.
+Errors print one machine-parsable line to stderr:
+``THERMO-OPS-ERROR code=<CODE> msg=<...>``.  Each subcommand declares only
+the options it reads; ``--tol`` is left unset by default, so the library's
+tolerance rule (``core.auto_tol``) decides in both modes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from . import io as tio
 from .birkhoff import decompose, simulate_mean
 from .cone import simplex_coordinates, thermal_cone
 from .core import DomainError, FormatError, ThermoOpsError
-from .jaynes_cummings import (NotAchievable, find_s_for_target, region_sweep)
+from .jaynes_cummings import (SOLVE_TOL, NotAchievable, find_s_for_target,
+                              region_sweep)
 from .majorization import (beta_order, majorization_witness, thermo_majorizes)
 from .synthesis import SynthesisError, synthesize
 from .thermalization import is_thermalisation_of, relax
@@ -58,11 +62,11 @@ def _cmd_check_majorization(args) -> int:
     ctx = _load_ctx(args)
     p = _load_pop(args.p, args.mode)
     q = _load_pop(args.q, args.mode)
-    tol = None if args.mode == "rational" else args.tol
     routes = (("curve", "abs", "embedded") if args.route == "all"
               else (args.route,))
-    verdicts = {r: thermo_majorizes(p, q, ctx, tol, route=r) for r in routes}
-    witness = majorization_witness(p, q, ctx, tol)
+    verdicts = {r: thermo_majorizes(p, q, ctx, args.tol, route=r)
+                for r in routes}
+    witness = majorization_witness(p, q, ctx, args.tol)
     _emit({"verdict": all(verdicts.values()),
            "routes": verdicts,
            "witness": None if witness is None else
@@ -90,7 +94,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_decompose(args) -> int:
     ctx = _load_ctx(args)
     T = tio.matrix_from_json(tio.read_json(args.t))
-    dec = decompose(T, ctx, tol=0 if args.mode == "rational" else args.tol)
+    dec = decompose(T, ctx, args.tol)
     _emit(tio.decomposition_to_json(dec), args.out)
     return 0
 
@@ -139,6 +143,8 @@ def _cmd_jc_region(args) -> int:
     inf = float("inf")
     if not all(-inf < v < inf for v in (args.beta_min, args.beta_max)):
         raise DomainError("--beta-min and --beta-max must be finite")
+    if args.beta_min > args.beta_max:
+        raise DomainError("--beta-min must not exceed --beta-max")
     if not 0 < args.step < inf:
         raise DomainError(f"--step must be positive and finite, got "
                           f"{args.step}")
@@ -186,9 +192,8 @@ def _cmd_thermalisation_check(args) -> int:
     ctx = _load_ctx(args)
     p = _load_pop(args.p, args.mode)
     q = _load_pop(args.q, args.mode)
-    tol = None if args.mode == "rational" else args.tol
-    witness = majorization_witness(p, q, ctx, tol)
-    _emit({"is_thermalisation": is_thermalisation_of(p, q, ctx, tol),
+    witness = majorization_witness(p, q, ctx, args.tol)
+    _emit({"is_thermalisation": is_thermalisation_of(p, q, ctx, args.tol),
            "majorizes": witness is None,
            "beta_order_p": list(beta_order(p, ctx).perm),
            "beta_order_q": list(beta_order(q, ctx).perm),
@@ -197,28 +202,39 @@ def _cmd_thermalisation_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a FormatError, which ``main`` prints as the
+    one error line (exit 2); subparsers inherit the class."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermo-ops",
         description="Thermo-majorisation toolkit: decision procedures, "
                     "elementary-step synthesis, thermal Birkhoff "
                     "decomposition, cones and exchange-model bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, ctx=True, pq=("p", "q")):
+    def common(sp, ctx=True, pq=("p", "q"), tol=False, mode=False):
         if ctx:
             sp.add_argument("--ctx", required=True, help="context JSON")
         for name in pq:
             sp.add_argument(f"--{name}", required=True,
                             help=f"population JSON ({name})")
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--mode", choices=("rational", "float"),
-                        default="rational")
+        if tol:
+            sp.add_argument("--tol", type=float, default=None,
+                            help="comparison tolerance (default: auto_tol)")
+        if mode:
+            sp.add_argument("--mode", choices=("rational", "float"),
+                            default="rational")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("check-majorization",
                         help="decide p >=_T q by one or all routes")
-    common(sp)
+    common(sp, tol=True, mode=True)
     sp.add_argument("--route", choices=("curve", "abs", "embedded", "all"),
                     default="all")
     sp.set_defaults(func=_cmd_check_majorization)
@@ -232,20 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose",
                         help="convex split into thermo-permutations")
-    common(sp, pq=())
+    common(sp, pq=(), tol=True)
     sp.add_argument("--t", required=True, help="stochastic matrix JSON")
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("simulate",
                         help="Monte-Carlo draws from a decomposition")
-    common(sp, ctx=False, pq=("p",))
+    common(sp, ctx=False, pq=("p",), mode=True)
     sp.add_argument("--dec", required=True, help="decomposition JSON")
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("cone", help="thermal-cone vertices (and facets)")
-    common(sp, pq=("p",))
+    common(sp, pq=("p",), mode=True)
     sp.add_argument("--facets", action="store_true")
     sp.add_argument("--simplex-csv", default=None,
                     help="also write 2-simplex coordinates (3 levels)")
@@ -264,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "de-exciting probability")
     sp.add_argument("--target", type=float, required=True)
     sp.add_argument("--beta-bar", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=SOLVE_TOL)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_jc_solve)
 
@@ -276,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("thermalisation-check",
                         help="majorisation plus beta-order preservation")
-    common(sp)
+    common(sp, tol=True, mode=True)
     sp.set_defaults(func=_cmd_thermalisation_check)
 
     return parser
@@ -284,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except FormatError as exc:
         return _fail("FORMAT", str(exc), 2)

@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .birkhoff import pull_back
-from .core import DomainError, GibbsContext, Number, as_values, coerce_exact
+from .core import (DomainError, GibbsContext, Number, as_values, coerce_exact,
+                   exact_mode)
 from .linprog import in_convex_hull
-from .majorization import (exact_lorenz, exact_mode, lorenz_curve,
-                           thermo_majorizes)
+from .majorization import exact_lorenz, lorenz_curve, thermo_majorizes
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,14 @@ def cone_membership(p, q, ctx: GibbsContext, tol: Number | None = None) -> bool:
     return thermo_majorizes(p, q, ctx, tol, route="all")
 
 
-def cone_vertices(p, ctx: GibbsContext,
-                  check_membership: bool = True
-                  ) -> tuple[tuple[Number, ...], ...]:
+def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
     """Beta-order saturation points: for each level ordering, read the
     source curve at that ordering's cumulative-weight grid.
 
     A grid point's curve value depends only on its cumulative weight, so
     each is read once.  In exact mode the curve is the integer one, read in
     slots, and every value is a numerator over one common denominator.
+    Every vertex is then checked to lie in the cone (all three routes).
     """
     pv = as_values(p)
     n = ctx.n
@@ -77,10 +76,9 @@ def cone_vertices(p, ctx: GibbsContext,
         denom = curve.scale * curve.lam
         frac = {v: Fraction(v, denom) for vt in out for v in vt}
         out = [tuple(frac[v] for v in vt) for vt in out]
-    if check_membership:
-        for v in out:
-            if not cone_membership(pv, v, ctx):
-                raise DomainError("internal: vertex escapes the cone")
+    for v in out:
+        if not cone_membership(pv, v, ctx):
+            raise DomainError("internal: vertex escapes the cone")
     return tuple(out)
 
 

@@ -21,6 +21,8 @@ MAX_WEIGHT_DENOMINATOR = 10**9
 #: largest total the fit in ``make_gibbs_context`` scans up to; each total
 #: costs a few microseconds, so 10^6 of them take seconds
 MAX_FIT_TOTAL = 10**6
+#: comparison tolerance of float inputs; exact inputs compare at zero
+FLOAT_TOL = 1e-9
 
 
 class ThermoOpsError(Exception):
@@ -191,15 +193,36 @@ def as_values(p) -> tuple[Number, ...]:
 
 
 def auto_tol(tol: Number | None, *value_groups) -> Number:
-    """The tolerance policy: an explicit ``tol`` wins; otherwise 0 when every
-    involved number is exact, else the float default 1e-9."""
+    """The tolerance rule of every comparison in the library.  An explicit
+    ``tol`` wins and must be finite and nonnegative (a DomainError
+    otherwise); ``None`` resolves to 0 when every compared number is exact,
+    else to the float default ``FLOAT_TOL``."""
     if tol is not None:
+        if not 0 <= tol < math.inf:  # negated, so that NaN fails too
+            raise DomainError(
+                f"tolerance must be finite and nonnegative, got {tol}")
         return tol
     for group in value_groups:
         for v in group:
             if isinstance(v, float):
-                return 1e-9
+                return FLOAT_TOL
     return 0
+
+
+def exact_mode(ctx: GibbsContext, tol: Number | None, *value_groups) -> bool:
+    """True when the integer kernel decides: a rational context, exact
+    entries and a tolerance that is unset or zero (``0``, ``Fraction(0)``
+    or ``0.0``)."""
+    return (ctx.rational and (tol is None or tol == 0)
+            and all(isinstance(v, (int, Fraction))
+                    for group in value_groups for v in group))
+
+
+def norm_tol(t: Number) -> Number:
+    """Slack of a normalisation check at the resolved tolerance ``t``: a
+    float ``t`` is floored at ``FLOAT_TOL``, because float sums that should
+    agree can round apart; an exact ``t`` is used as it is."""
+    return max(t, FLOAT_TOL) if isinstance(t, float) else t
 
 
 def coerce_exact(values, what: str) -> list[Fraction]:
@@ -253,36 +276,40 @@ class StochasticMatrix:
             for j in range(n)))
 
 
-def validate_stochastic(T: StochasticMatrix, tol: Number = 1e-9) -> bool:
+def validate_stochastic(T: StochasticMatrix,
+                        tol: Number | None = None) -> bool:
     """Entries >= -tol and every column sums to one within tol."""
     n = T.n
     if any(len(c) != n for c in T.cols):
         raise DomainError("matrix must be square")
+    t = auto_tol(tol, *T.cols)
     for col in T.cols:  # negated tests, so that NaN fails too
-        if any(not v >= -tol for v in col):
+        if any(not v >= -t for v in col):
             return False
-        if not abs(sum(col) - 1) <= tol:
+        if not abs(sum(col) - 1) <= t:
             return False
     return True
 
 
 def is_gibbs_preserving(T: StochasticMatrix, ctx: GibbsContext,
-                        tol: Number = 1e-9) -> bool:
+                        tol: Number | None = None) -> bool:
     if T.n != ctx.n:
         raise DomainError("matrix and context dimensions differ")
+    t = auto_tol(tol, ctx.g, *T.cols)
     img = T.apply(ctx.g)
-    return all(abs(img[i] - ctx.g[i]) <= tol for i in range(ctx.n))
+    return all(abs(img[i] - ctx.g[i]) <= t for i in range(ctx.n))
 
 
 def is_detailed_balanced(T: StochasticMatrix, ctx: GibbsContext,
-                         tol: Number = 1e-9) -> bool:
+                         tol: Number | None = None) -> bool:
     # multiplicative form T[i|j] g_j == T[j|i] g_i avoids dividing by zero
     if T.n != ctx.n:
         raise DomainError("matrix and context dimensions differ")
+    t = auto_tol(tol, ctx.g, *T.cols)
     g = ctx.g
     for j in range(ctx.n):
         for i in range(j):
-            if abs(T.entry(i, j) * g[j] - T.entry(j, i) * g[i]) > tol:
+            if abs(T.entry(i, j) * g[j] - T.entry(j, i) * g[i]) > t:
                 return False
     return True
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from .core import (ConvexDecomposition, FormatError, GibbsContext, Number,
-                   Population, StochasticMatrix, ThermoPermutation, auto_tol,
+                   Population, StochasticMatrix, ThermoPermutation,
                    gibbs_context_from_weights, make_gibbs_context,
                    validate_stochastic)
 from .synthesis import EdpSequence
@@ -153,10 +153,12 @@ def decomposition_to_json(dec: ConvexDecomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> ConvexDecomposition:
-    """Each term must be column-stochastic (zero tolerance for exact
-    entries) and carry a permutation of ``0..len-1``; whether the two agree
-    needs the context, which the file does not hold."""
+    """Each term must be an ``n x n`` column-stochastic matrix (zero
+    tolerance for exact entries) and carry a permutation of ``0..len-1``;
+    whether the two agree needs the context, which the file does not
+    hold."""
     _object(obj, "decomposition file")
+    n = _integer(_require(obj, "n"), "n")
     terms = []
     for term in _array(_require(obj, "terms"), "terms"):
         _object(term, "each term")
@@ -169,7 +171,10 @@ def decomposition_from_json(obj: dict) -> ConvexDecomposition:
                               "0..len-1")
         matrix = StochasticMatrix(_square(_require(term, "cols"),
                                           "term cols"))
-        if not validate_stochastic(matrix, auto_tol(None, *matrix.cols)):
+        if matrix.n != n:
+            raise FormatError(f"each term's cols must form an n x n array "
+                              f"with n = {n}")
+        if not validate_stochastic(matrix):
             raise FormatError("each term's cols must be column-stochastic")
         terms.append((weight, ThermoPermutation(perm, matrix)))
     return ConvexDecomposition(tuple(terms))

@@ -24,6 +24,11 @@ LOWER_BOUND_S_REF = 98.92
 _S_MAX = 200.0
 _S_STEP = 0.01
 _M_CAP = 10**6
+#: most series terms ``find_s_for_target`` sums; its 4001-point grid costs
+#: about 1e-4 s per term, so a solve at this cap takes about 10 s
+MAX_SOLVE_TERMS = 10**5
+#: default accuracy of ``find_s_for_target`` on the de-exciting probability
+SOLVE_TOL = 1e-9
 
 #: 2019 SI exact constants
 HBAR = 1.054571817e-34
@@ -47,16 +52,18 @@ class JcParams:
 def jc_params(beta_bar: float, s: float, tol: float = 1e-10) -> JcParams:
     """Pick the truncation order from the tail rule ceil(ln(1/tol)/beta_bar),
     capped at 10^6 with the residual error surfaced in ``tail_bound``."""
-    if beta_bar <= 0:
-        raise DomainError("beta_bar must be positive (the series diverges)")
-    if s < 0:
-        raise DomainError("the rescaled time s must be nonnegative")
-    m = math.ceil(math.log(1.0 / tol) / beta_bar)
-    capped = False
-    if m > _M_CAP:
-        m = _M_CAP
-        capped = True
-    m = max(m, 1)
+    # negated tests, so that NaN fails too
+    if not 0 < beta_bar < math.inf:
+        raise DomainError("beta_bar must be positive (the series diverges) "
+                          "and finite")
+    if not 0 <= s < math.inf:
+        raise DomainError("the rescaled time s must be nonnegative and "
+                          "finite")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    order = math.log(1.0 / tol) / beta_bar  # inf when 1/tol overflows
+    capped = not order <= _M_CAP
+    m = _M_CAP if capped else max(math.ceil(order), 1)
     return JcParams(beta_bar, s, m, math.exp(-beta_bar * m), capped)
 
 
@@ -188,18 +195,25 @@ class NotAchievable:
 
 
 def find_s_for_target(target: float, beta_bar: float,
-                      tol: float = 1e-9) -> float | NotAchievable:
+                      tol: float = SOLVE_TOL) -> float | NotAchievable:
     """Control time s with |J_down(s) - target| <= tol, if one is found.
 
     The de-exciting probability is continuous in s and zero at s = 0, so any
-    grid value above the target brackets a crossing for bisection.
+    grid value above the target brackets a crossing for bisection.  A solve
+    whose truncation order exceeds ``MAX_SOLVE_TERMS`` is a DomainError
+    before the grid runs.
     """
     if not 0 <= target <= 1:
         raise DomainError("target must lie in [0, 1]")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    m = jc_params(beta_bar, 0.0, tol=min(tol / 4, 1e-10)).m
+    if m > MAX_SOLVE_TERMS:
+        raise DomainError(
+            f"the solve needs more than {MAX_SOLVE_TERMS} series terms (the "
+            f"cap); beta_bar {beta_bar} is too small")
     if target == 0:
         return 0.0
-    params0 = jc_params(beta_bar, 0.0, tol=min(tol / 4, 1e-10))
-    m = params0.m
 
     n = np.arange(1, m + 1, dtype=np.float64)
     w = np.exp(-beta_bar * (n - 1)) * (1.0 - math.exp(-beta_bar))

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .core import DomainError, GibbsContext, Number, as_values, auto_tol
+from .core import (DomainError, GibbsContext, Number, as_values, auto_tol,
+                   exact_mode, norm_tol)
 
 Route = Literal["curve", "abs", "embedded", "all"]
 
@@ -32,16 +33,6 @@ class BetaOrder:
     """
 
     perm: tuple[int, ...]
-
-
-def exact_mode(ctx: GibbsContext, tol, *value_groups) -> bool:
-    """True when the integer kernel decides: rational context, exact
-    entries and zero tolerance."""
-    return (ctx.rational
-            and (tol is None or (isinstance(tol, (int, Fraction))
-                                 and tol == 0))
-            and all(isinstance(v, (int, Fraction))
-                    for group in value_groups for v in group))
 
 
 def _check_dims(ctx: GibbsContext, *value_groups) -> None:
@@ -226,7 +217,7 @@ def _float_tol(tol, pv, qv, ctx: GibbsContext) -> Number:
     the norms too."""
     _require_finite(pv, qv)
     t = auto_tol(tol, pv, qv, ctx.g)
-    _check_norms(pv, qv, max(t, 1e-9) if isinstance(t, float) else t)
+    _check_norms(pv, qv, norm_tol(t))
     return t
 
 
@@ -336,7 +327,7 @@ def majorizes_classical(x: Sequence[Number], y: Sequence[Number],
         raise DomainError("vectors must have equal length")
     _require_finite(x, y)
     t = auto_tol(tol, x, y)
-    _check_norms(x, y, max(t, 1e-9) if isinstance(t, float) else t)
+    _check_norms(x, y, norm_tol(t))
     xs = sorted(x, reverse=True)
     ys = sorted(y, reverse=True)
     cx = cy = 0
@@ -419,10 +410,11 @@ def thermo_majorizes(p, q, ctx: GibbsContext, tol: Number | None = None,
     raise DomainError(f"unknown route {route!r}")
 
 
-def relative_entropy(x, ctx: GibbsContext, tol: float = 1e-9) -> float:
+def relative_entropy(x, ctx: GibbsContext,
+                     tol: Number | None = None) -> float:
     """S(x||g) in nats, with 0 log 0 = 0; zero exactly at the thermal state."""
     xv = as_values(x)
-    if abs(sum(xv) - 1) > tol:
+    if abs(sum(xv) - 1) > auto_tol(tol, xv):
         raise DomainError("relative entropy expects a normalised population")
     total = 0.0
     for xi, gi in zip(xv, ctx.g):

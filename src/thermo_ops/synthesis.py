@@ -349,7 +349,7 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
     if len(pv) != ctx.n or len(qv) != ctx.n:
         raise DomainError("population and context dimensions differ")
     g = [Fraction(v) for v in ctx.g]
-    witness = majorization_witness(pv, qv, ctx, tol=0)
+    witness = majorization_witness(pv, qv, ctx)
     if witness is not None:
         raise SynthesisError(
             f"p does not thermo-majorize q; violated elbow at x={witness[0]}"

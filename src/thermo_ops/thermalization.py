@@ -17,10 +17,11 @@ from .majorization import beta_order, thermo_majorizes
 def relax(p0, t: float, xi: float, ctx: GibbsContext) -> tuple[float, ...]:
     """Exponential relaxation toward the thermal distribution:
     ``exp(-t/xi) p0 + N (1 - exp(-t/xi)) g``."""
-    if xi <= 0:
-        raise DomainError("the time constant xi must be positive")
-    if t < 0:
-        raise DomainError("time must be nonnegative")
+    if not 0 < xi < math.inf:  # negated tests, so that NaN fails too
+        raise DomainError(f"the time constant xi must be positive and "
+                          f"finite, got {xi}")
+    if not t >= 0:
+        raise DomainError(f"time must be nonnegative, got {t}")
     x = as_values(p0)
     if len(x) != ctx.n:
         raise DomainError("population and context dimensions differ")

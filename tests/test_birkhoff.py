@@ -138,6 +138,24 @@ class TestDecompose:
                 assert w > 0
                 assert is_gibbs_preserving(tp.pulled_back, ctx, 0)
 
+    def test_float_near_miss_decomposes_at_the_float_tolerance(
+            self, two_thirds_ctx):
+        """A float matrix 10^-12 off Gibbs-preserving resolves to 1e-9 in
+        lift, the factorisation and decompose alike."""
+        T = StochasticMatrix(((0.9 + 1e-12, 0.1 - 1e-12), (0.2, 0.8)))
+        birkhoff_von_neumann(lift(T, two_thirds_ctx))
+        dec = decompose(T, two_thirds_ctx)
+        rebuilt = dec.reconstruct()
+        assert all(abs(a - b) < 1e-9 for ca, cb in zip(rebuilt.cols, T.cols)
+                   for a, b in zip(ca, cb))
+        with pytest.raises(DomainError, match="Gibbs"):
+            decompose(T, two_thirds_ctx, tol=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+    def test_bad_explicit_tol_rejected(self, tol, two_thirds_ctx):
+        with pytest.raises(DomainError, match="tolerance"):
+            decompose(StochasticMatrix.identity(2), two_thirds_ctx, tol)
+
 
 class TestSampling:
     def test_single_term_deterministic(self, two_thirds_ctx):

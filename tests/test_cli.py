@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from thermo_ops import decompose, gibbs_context_from_weights, thermo_transposition
-from thermo_ops.cli import MAX_REGION_ROWS, _thread_count, main
+from thermo_ops.cli import MAX_REGION_ROWS, _thread_count, build_parser, main
+from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
                            write_json_atomic)
@@ -27,6 +28,16 @@ def workdir(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_one_error(capsys, code):
+    """Nothing on stdout and exactly one error line of the given code."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"THERMO-OPS-ERROR code={code} msg=")
+    return lines[0]
 
 
 class TestCheckMajorization:
@@ -349,6 +360,15 @@ class TestDecompositionContent:
                    "--samples", 10, "--seed", 1) == 0
 
 
+    @pytest.mark.parametrize("n", [7, 1, "2", None])
+    def test_n_must_match_every_term(self, n, workdir, capsys):
+        d, _ = workdir
+        write_json_atomic(d / "dec.json", {"n": n, "terms": [DEC_TERM]})
+        assert run("simulate", "--dec", d / "dec.json", "--p", d / "p.json",
+                   "--samples", 10, "--seed", 1) == 2
+        assert_one_error(capsys, "FORMAT")
+
+
 class TestGibbsFitCap:
     def test_wide_fit_refused_up_front(self, workdir, capsys):
         d, _ = workdir
@@ -374,3 +394,124 @@ class TestFloatMode:
                    "--mode", "float") == 0
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] is True
+
+
+class TestUsageErrors:
+    """argparse errors print the one error line too (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check-majorization", "--p", "x"),
+        ("simulate", "--dec", "d", "--p", "p", "--samples", "1.5",
+         "--seed", "1"),
+        ("jc-region", "--step", "abc"),
+        (),
+        ("jc-solve", "--target", "0.3", "--beta-bar", "1", "--mode", "float"),
+    ])
+    def test_one_format_line(self, argv, capsys):
+        assert run(*argv) == 2
+        assert_one_error(capsys, "FORMAT")
+
+    @pytest.mark.parametrize("option", [("--mode", "float"), ("--tol", "7")])
+    def test_removed_option(self, option, workdir, capsys):
+        """synthesize reads neither option, so it no longer declares them."""
+        d, _ = workdir
+        assert run("synthesize", "--ctx", d / "ctx.json", "--p", d / "p.json",
+                   "--q", d / "q.json", *option) == 2
+        assert_one_error(capsys, "FORMAT")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("check-majorization", "--help")
+        assert exc.value.code == 0
+        assert "--route" in capsys.readouterr().out
+
+
+def _declared_options(parser):
+    """Settable option names of each subcommand (``--help`` excluded)."""
+    sub = next(a for a in parser._actions if a.choices and a.dest == "command")
+    return {name: [a.dest for a in sp._actions if a.dest != "help"]
+            for name, sp in sub.choices.items()}
+
+
+class TestOptions:
+    def test_each_subcommand_declares_what_it_reads(self):
+        options = _declared_options(build_parser())
+        assert sum(map(len, options.values())) == 47
+        with_tol = {k for k, v in options.items() if "tol" in v}
+        with_mode = {k for k, v in options.items() if "mode" in v}
+        assert with_tol == {"check-majorization", "decompose", "jc-solve",
+                            "thermalisation-check"}
+        assert with_mode == {"check-majorization", "simulate", "cone",
+                             "thermalisation-check"}
+
+
+@pytest.fixture
+def motivation_pair(tmp_path):
+    """g = (2/3, 1/3), p = (2/3, 1/3), q = (1/3, 2/3): p does not
+    thermo-majorize q exactly, but does within 0.5."""
+    ctx = gibbs_context_from_weights([F(2, 3), F(1, 3)])
+    write_json_atomic(tmp_path / "ctx.json", context_to_json(ctx))
+    write_json_atomic(tmp_path / "p.json",
+                      population_to_json((F(2, 3), F(1, 3))))
+    write_json_atomic(tmp_path / "q.json",
+                      population_to_json((F(1, 3), F(2, 3))))
+    return ("--ctx", tmp_path / "ctx.json", "--p", tmp_path / "p.json",
+            "--q", tmp_path / "q.json")
+
+
+class TestToleranceOption:
+    def test_explicit_tol_honoured_in_rational_mode(self, motivation_pair,
+                                                    capsys):
+        assert run("check-majorization", *motivation_pair,
+                   "--route", "curve") == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] is False
+        assert run("check-majorization", *motivation_pair,
+                   "--route", "curve", "--tol", 0.5) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+    @pytest.mark.parametrize("sub", ["check-majorization",
+                                     "thermalisation-check"])
+    def test_zero_tol_writes_the_default_bytes(self, sub, motivation_pair,
+                                               tmp_path):
+        assert run(sub, *motivation_pair, "--out", tmp_path / "a.json") == 0
+        assert run(sub, *motivation_pair, "--tol", 0,
+                   "--out", tmp_path / "b.json") == 0
+        assert ((tmp_path / "a.json").read_bytes()
+                == (tmp_path / "b.json").read_bytes())
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_is_domain_error(self, tol, motivation_pair, capsys):
+        assert run("check-majorization", *motivation_pair,
+                   "--tol", tol) == 1
+        assert_one_error(capsys, "DOMAIN")
+
+
+class TestNumericArguments:
+    """jc-solve and relax reject NaN, zero and negative values and a solve
+    beyond the term cap with one error line (exit 1)."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--beta-bar", "nan"), ("--beta-bar", "inf"),
+        ("--beta-bar", "1", "--tol", "0"), ("--beta-bar", "1", "--tol", "-1"),
+        ("--beta-bar", "1", "--tol", "nan")])
+    def test_jc_solve_bad_value(self, argv, capsys):
+        assert run("jc-solve", "--target", 0.3, *argv) == 1
+        assert_one_error(capsys, "DOMAIN")
+
+    @pytest.mark.parametrize("target", [0, 0.3])
+    def test_jc_solve_over_term_cap(self, target, capsys):
+        start = time.perf_counter()
+        assert run("jc-solve", "--target", target, "--beta-bar", 1e-300) == 1
+        assert time.perf_counter() - start < 5
+        assert str(MAX_SOLVE_TERMS) in assert_one_error(capsys, "DOMAIN")
+
+    @pytest.mark.parametrize("argv", [("--t", "nan", "--xi", "1"),
+                                      ("--t", "1", "--xi", "nan"),
+                                      ("--t", "-1", "--xi", "1"),
+                                      ("--t", "1", "--xi", "0"),
+                                      ("--t", "1", "--xi", "inf")])
+    def test_relax_bad_value(self, argv, workdir, capsys):
+        d, _ = workdir
+        assert run("relax", "--ctx", d / "ctx.json", "--p", d / "p.json",
+                   *argv) == 1
+        assert_one_error(capsys, "DOMAIN")

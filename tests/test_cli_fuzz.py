@@ -92,3 +92,84 @@ def test_random_field_value(field, value):
         assert status in (1, 2)
         assert len(lines) == 1
         assert lines[0].startswith("THERMO-OPS-ERROR code=")
+
+
+# Numeric arguments: each is set on a command that is otherwise valid.  The
+# finite values drawn keep every run small (grids of at most 10^3 rows,
+# solves of at most 10^3 series terms); 1e300 and the non-finite values
+# reach the caps and the range checks instead.
+SPECIAL = ["nan", "-nan", "inf", "-inf", "0", "-0", "-1", "-1e300", "1e300",
+           "", "abc", "1/3", "0x10", "1,5", "--tol"]
+_COMMANDS = {
+    "check-majorization": lambda f: ["check-majorization", "--ctx", f["ctx"],
+                                     "--p", f["p"], "--q", f["q"]],
+    "decompose": lambda f: ["decompose", "--ctx", f["ctx"], "--t", f["t"]],
+    "thermalisation-check": lambda f: ["thermalisation-check",
+                                       "--ctx", f["ctx"], "--p", f["p"],
+                                       "--q", f["q"]],
+    "relax": lambda f: ["relax", "--ctx", f["ctx"], "--p", f["p"]],
+    "simulate": lambda f: ["simulate", "--dec", f["dec"], "--p", f["p"]],
+    "jc-solve": lambda f: ["jc-solve"],
+    "jc-region": lambda f: ["jc-region"],
+}
+# the valid values of each command's numeric arguments
+_VALID = {
+    "check-majorization": {}, "decompose": {}, "thermalisation-check": {},
+    "relax": {"t": "0.7", "xi": "1.3"},
+    "simulate": {"samples": "10", "seed": "1"},
+    "jc-solve": {"target": "0.3", "beta-bar": "1.0", "tol": "1e-9"},
+    "jc-region": {"beta-min": "0.5", "beta-max": "1.0", "step": "0.25"},
+}
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+NUMERIC = [  # (command, argument, finite values that keep the run small)
+    ("check-majorization", "tol", _floats),
+    ("decompose", "tol", _floats),
+    ("thermalisation-check", "tol", _floats),
+    ("relax", "t", _floats), ("relax", "xi", _floats),
+    ("simulate", "samples", st.integers(-10, 10**6) | st.integers()),
+    ("simulate", "seed", st.integers()),
+    ("jc-solve", "target", _floats),
+    ("jc-solve", "beta-bar", st.floats(0.03, 1e3) | st.floats(-1e3, 0)),
+    ("jc-solve", "tol", st.floats(1e-300, 1e3) | st.floats(-1, 0)),
+    ("jc-region", "beta-min", st.floats(-50, 10)),
+    ("jc-region", "beta-max", st.floats(-10, 50)),
+    ("jc-region", "step", st.floats(0.005, 1e3) | st.floats(-1, 0)),
+]
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in the output")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(field=st.sampled_from(NUMERIC), data=st.data())
+def test_random_numeric_argument(field, data):
+    """A NaN, infinite, zero, negative, huge or non-numeric value of a
+    numeric argument ends in exit 1 or 2 with one error line; a run that
+    succeeds prints no NaN or infinity."""
+    command, name, finite = field
+    value = data.draw(st.sampled_from(SPECIAL) | finite.map(repr))
+    args = {**_VALID[command], name: value}
+    with tempfile.TemporaryDirectory() as path:
+        files = {}
+        for kind, content in BASE.items():
+            files[kind] = os.path.join(path, f"{kind}.json")
+            with open(files[kind], "w") as handle:
+                json.dump(content, handle)
+        argv = _COMMANDS[command](files) + [f"--{k}={v}"
+                                            for k, v in args.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+    lines = err.getvalue().splitlines()
+    if status == 0:
+        assert lines == []
+        if command == "jc-region":
+            assert "nan" not in out.getvalue()
+            assert "inf" not in out.getvalue()
+        else:
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        assert status in (1, 2)
+        assert len(lines) == 1
+        assert lines[0].startswith("THERMO-OPS-ERROR code=")

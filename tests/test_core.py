@@ -10,7 +10,7 @@ from thermo_ops import (ConvexDecomposition, DomainError, Population,
                         is_gibbs_preserving, make_edp_step,
                         make_gibbs_context, thermo_transposition,
                         validate_stochastic)
-from thermo_ops.core import MAX_FIT_TOTAL, auto_tol
+from thermo_ops.core import MAX_FIT_TOTAL, auto_tol, exact_mode
 from thermo_ops.linprog import gibbs_map_exists
 
 F = Fraction
@@ -211,6 +211,47 @@ class TestTolerancePolicy:
         assert auto_tol(None, (F(1), 2)) == 0
         assert auto_tol(None, (F(1),), (0.5,)) == 1e-9
         assert auto_tol(F(1, 10), (0.5,)) == F(1, 10)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1, F(-1, 10**12),
+                                     float("inf"), float("-inf")])
+    def test_bad_explicit_tol_rejected(self, tol, two_thirds_ctx):
+        T = StochasticMatrix.identity(2)
+        with pytest.raises(DomainError, match="tolerance"):
+            auto_tol(tol, (F(1),))
+        for check in (lambda: validate_stochastic(T, tol),
+                      lambda: is_gibbs_preserving(T, two_thirds_ctx, tol),
+                      lambda: is_detailed_balanced(T, two_thirds_ctx, tol)):
+            with pytest.raises(DomainError, match="tolerance"):
+                check()
+
+    @pytest.mark.parametrize("zero", [0, F(0), 0.0])
+    def test_explicit_zero_is_exact_mode(self, zero, two_thirds_ctx):
+        assert exact_mode(two_thirds_ctx, zero, (F(1), F(0)))
+        assert not exact_mode(two_thirds_ctx, zero, (1.0, 0.0))
+        assert not exact_mode(two_thirds_ctx, F(1, 10), (F(1), F(0)))
+
+    def test_exact_near_miss_rejected(self, two_thirds_ctx):
+        """Exact inputs compare at zero tolerance: 10^-12 off is off."""
+        eps = F(1, 10**12)
+        short = StochasticMatrix(((F(1, 2), F(1, 2) - eps), (F(0), F(1))))
+        assert not validate_stochastic(short)
+        # column-stochastic, but b = 2a + eps breaks g-preservation and
+        # detailed balance by eps/3
+        a = F(1, 10)
+        b = 2 * a + eps
+        skew = StochasticMatrix(((1 - a, a), (b, 1 - b)))
+        assert validate_stochastic(skew)
+        assert not is_gibbs_preserving(skew, two_thirds_ctx)
+        assert not is_detailed_balanced(skew, two_thirds_ctx)
+        assert is_gibbs_preserving(skew, two_thirds_ctx, eps)
+        assert is_detailed_balanced(skew, two_thirds_ctx, eps)
+
+    def test_float_near_miss_keeps_the_float_tolerance(self, two_thirds_ctx):
+        b = 0.2 + 1e-12
+        skew = StochasticMatrix(((0.9, 0.1), (b, 1 - b)))
+        assert validate_stochastic(skew)
+        assert is_gibbs_preserving(skew, two_thirds_ctx)
+        assert is_detailed_balanced(skew, two_thirds_ctx)
 
 
 class TestConvexDecomposition:

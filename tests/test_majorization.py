@@ -261,6 +261,12 @@ class TestEntropyAndRate:
         expected = 0.5 * math.log(3 / 4) + 0.5 * math.log(3 / 2)
         assert abs(val - expected) < 1e-12
 
+    def test_exact_norm_has_no_slack(self, two_thirds_ctx):
+        short = (F(1, 2), F(1, 2) - F(1, 10**12))
+        with pytest.raises(DomainError, match="normalised"):
+            relative_entropy(short, two_thirds_ctx)
+        assert relative_entropy((0.5, 0.5 - 1e-12), two_thirds_ctx) > 0
+
     def test_rate(self, two_thirds_ctx):
         assert perpetuum_rate(two_thirds_ctx.g, two_thirds_ctx, 2.0) == 0.0
         r1 = perpetuum_rate((F(1), F(0)), two_thirds_ctx, 1.0)
