@@ -25,11 +25,6 @@ from .birkhoff import (LiftedBistochastic, birkhoff_von_neumann, decompose,
                        simulate_mean)
 from .cone import (HullReport, ThermalCone, cone_membership, cone_vertices,
                    hull_check, hull_facets, simplex_coordinates, thermal_cone)
-from .jaynes_cummings import (JcParams, NotAchievable, RegionRow,
-                              beta_bar_from_physical, find_s_for_target,
-                              j_lower_bound, j_lower_bound_with_argmax,
-                              j_probabilities, j_upper_bound, jc_params,
-                              plt_max, region_sweep)
 from .thermalization import (PltStep, apply_plt, edp_to_plt, is_markovian_edp,
                              is_thermalisation_of, make_plt_step,
                              markov_p_down_max, plt_to_edp,
@@ -37,3 +32,22 @@ from .thermalization import (PltStep, apply_plt, edp_to_plt, is_markovian_edp,
 from .linprog import feasible, gibbs_map_exists, in_convex_hull
 
 __version__ = "0.1.0"
+
+# The exchange-model names load numpy, which the exact operations never
+# need, so they are imported on first use (PEP 562).
+_JAYNES_CUMMINGS = frozenset((
+    "JcParams", "NotAchievable", "RegionRow", "beta_bar_from_physical",
+    "find_s_for_target", "j_lower_bound", "j_lower_bound_with_argmax",
+    "j_probabilities", "j_upper_bound", "jc_params", "plt_max",
+    "region_sweep"))
+
+
+def __getattr__(name):
+    if name in _JAYNES_CUMMINGS:
+        from . import jaynes_cummings
+        return getattr(jaynes_cummings, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _JAYNES_CUMMINGS)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import (ConvexDecomposition, DomainError, EdpStep, GibbsContext,
                    Number, StochasticMatrix, ThermoPermutation, auto_tol,
                    is_gibbs_preserving, make_edp_step)
@@ -200,6 +198,8 @@ def simulate_mean(dec: ConvexDecomposition, p, samples: int, rng_seed: int):
         raise DomainError("samples must lie in [1, 2**63 - 1]")
     if rng_seed < 0:
         raise DomainError("the seed must be nonnegative")
+    import numpy as np
+
     rng = np.random.default_rng(rng_seed)
     weights = np.array([float(w) for w, _ in dec.terms])
     weights = weights / weights.sum()

@@ -6,7 +6,9 @@ non-majorizing pair), 2 on I/O or format problems and on usage errors.
 Errors print one machine-parsable line to stderr:
 ``THERMO-OPS-ERROR code=<CODE> msg=<...>``.  Each subcommand declares only
 the options it reads; ``--tol`` is left unset by default, so the library's
-tolerance rule (``core.auto_tol``) decides in both modes.
+tolerance rule (``core.auto_tol``) decides in both modes.  numpy, the thread
+pool and the exchange model are imported only by the subcommands that use
+them, so the exact subcommands start without numpy.
 """
 
 from __future__ import annotations
@@ -15,16 +17,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import io as tio
 from .birkhoff import decompose, simulate_mean
 from .cone import simplex_coordinates, thermal_cone
 from .core import DomainError, FormatError, ThermoOpsError
-from .jaynes_cummings import (SOLVE_TOL, NotAchievable, find_s_for_target,
-                              region_sweep)
 from .majorization import (beta_order, majorization_witness, thermo_majorizes)
 from .synthesis import SynthesisError, synthesize
 from .thermalization import is_thermalisation_of, relax
@@ -154,8 +151,14 @@ def _cmd_jc_region(args) -> int:
                           f"{MAX_REGION_ROWS} rows (the cap); use a larger "
                           f"--step or a shorter range")
     threads = _thread_count()
+    import numpy as np
+
+    from .jaynes_cummings import region_sweep
+
     grid = np.arange(args.beta_min, args.beta_max + args.step / 2, args.step)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         chunks = np.array_split(grid, threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(region_sweep, chunks))
@@ -171,6 +174,8 @@ def _cmd_jc_region(args) -> int:
 
 
 def _cmd_jc_solve(args) -> int:
+    from .jaynes_cummings import NotAchievable, find_s_for_target
+
     result = find_s_for_target(args.target, args.beta_bar, args.tol)
     if isinstance(result, NotAchievable):
         _emit({"achievable": False, "best": result.best,
@@ -280,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "de-exciting probability")
     sp.add_argument("--target", type=float, required=True)
     sp.add_argument("--beta-bar", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=SOLVE_TOL)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="accuracy of the solve (default: SOLVE_TOL)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_jc_solve)
 

@@ -211,6 +211,7 @@ def simplex_coordinates(points: Sequence[Sequence[Number]]
     """Ternary-plot coordinates for three-level populations (normalised)."""
     out = []
     for pt in points:
+        pt = as_values(pt)
         if len(pt) != 3:
             raise DomainError("simplex coordinates need exactly three levels")
         total = float(sum(pt))

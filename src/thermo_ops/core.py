@@ -159,9 +159,7 @@ class Population:
     x: tuple[Number, ...]
 
     def __post_init__(self):
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in self.x):
-            raise DomainError("populations must be finite")
+        _require_finite(self.x, "populations")
         if any(v < 0 for v in self.x):
             raise DomainError("populations must be nonnegative")
         try:
@@ -185,11 +183,22 @@ class Population:
         return self.x[i]
 
 
+def _require_finite(values, what: str) -> None:
+    """Reject a NaN or infinite float entry, which every comparison would
+    read as no violation (``<`` is False for NaN)."""
+    for v in values:  # a plain loop: this runs on every library call
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"{what} must be finite")
+
+
 def as_values(p) -> tuple[Number, ...]:
-    """Accept a Population or any sequence of numbers."""
+    """Accept a Population or any sequence of finite numbers; a NaN or
+    infinite entry is a DomainError, as it is for a Population."""
     if isinstance(p, Population):
         return p.x
-    return tuple(p)
+    x = tuple(p)
+    _require_finite(x, "entries")
+    return x
 
 
 def auto_tol(tol: Number | None, *value_groups) -> Number:

@@ -16,7 +16,7 @@ from typing import Any
 
 from .core import (ConvexDecomposition, FormatError, GibbsContext, Number,
                    Population, StochasticMatrix, ThermoPermutation,
-                   gibbs_context_from_weights, make_gibbs_context,
+                   as_values, gibbs_context_from_weights, make_gibbs_context,
                    validate_stochastic)
 from .synthesis import EdpSequence
 
@@ -119,8 +119,7 @@ def context_from_json(obj: dict) -> GibbsContext:
 
 
 def population_to_json(p) -> dict:
-    values = p.x if isinstance(p, Population) else tuple(p)
-    return {"x": [encode_number(v) for v in values]}
+    return {"x": [encode_number(v) for v in as_values(p)]}
 
 
 def population_from_json(obj: dict) -> Population:

@@ -25,7 +25,8 @@ _S_MAX = 200.0
 _S_STEP = 0.01
 _M_CAP = 10**6
 #: most series terms ``find_s_for_target`` sums; its 4001-point grid costs
-#: about 1e-4 s per term, so a solve at this cap takes about 10 s
+#: about 1e-4 s per term, so an unreachable target at this cap takes about
+#: 10 s (a reachable one stops at its first bracketing grid point)
 MAX_SOLVE_TERMS = 10**5
 #: default accuracy of ``find_s_for_target`` on the de-exciting probability
 SOLVE_TOL = 1e-9
@@ -195,16 +196,20 @@ class NotAchievable:
 
 
 def find_s_for_target(target: float, beta_bar: float,
-                      tol: float = SOLVE_TOL) -> float | NotAchievable:
-    """Control time s with |J_down(s) - target| <= tol, if one is found.
+                      tol: float | None = None) -> float | NotAchievable:
+    """Control time s with |J_down(s) - target| <= tol (``None`` means
+    ``SOLVE_TOL``), if one is found.
 
-    The de-exciting probability is continuous in s and zero at s = 0, so any
-    grid value above the target brackets a crossing for bisection.  A solve
-    whose truncation order exceeds ``MAX_SOLVE_TERMS`` is a DomainError
-    before the grid runs.
+    The de-exciting probability is continuous in s and zero at s = 0, so the
+    first grid value at or above the target brackets a crossing for
+    bisection, and the scan stops there; only an unreachable target scans
+    the whole grid for its best value.  A solve whose truncation order
+    exceeds ``MAX_SOLVE_TERMS`` is a DomainError before the grid runs.
     """
     if not 0 <= target <= 1:
         raise DomainError("target must lie in [0, 1]")
+    if tol is None:
+        tol = SOLVE_TOL
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
     m = jc_params(beta_bar, 0.0, tol=min(tol / 4, 1e-10)).m
@@ -225,18 +230,17 @@ def find_s_for_target(target: float, beta_bar: float,
     grid = np.arange(0.0, _S_MAX + 0.05, 0.05)
     best = 0.0
     s_best = 0.0
-    bracket = None
     prev_s = 0.0
     for s in grid[1:]:
         v = f(float(s))
+        if v >= target:
+            a, b = prev_s, float(s)
+            break
         if v > best:
             best, s_best = v, float(s)
-        if bracket is None and v >= target:
-            bracket = (prev_s, float(s))
         prev_s = float(s)
-    if bracket is None:
+    else:
         return NotAchievable(best, s_best)
-    a, b = bracket
     for _ in range(200):
         mid = (a + b) / 2
         if f(mid) >= target:

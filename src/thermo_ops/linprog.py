@@ -130,8 +130,8 @@ def gibbs_map_exists(p, q, ctx: GibbsContext,
 
 def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     """Exact membership of a point in the convex hull of the generators."""
-    pt = [Fraction(v) for v in point]
-    gens = [[Fraction(v) for v in gen] for gen in generators]
+    pt = [Fraction(v) for v in as_values(point)]
+    gens = [[Fraction(v) for v in as_values(gen)] for gen in generators]
     if not gens:
         return False
     k = len(gens)

@@ -198,14 +198,6 @@ def _float_violation(lp: LorenzCurve, lq: LorenzCurve, t):
     return None
 
 
-def _require_finite(*value_groups) -> None:
-    """The float sweeps compare with ``<``, which is False for NaN, so a
-    non-finite entry would read as no violation."""
-    if any(isinstance(v, float) and not math.isfinite(v)
-           for group in value_groups for v in group):
-        raise DomainError("entries must be finite")
-
-
 def _check_norms(p, q, tol):
     np_, nq = sum(p), sum(q)
     if abs(np_ - nq) > tol:
@@ -213,9 +205,7 @@ def _check_norms(p, q, tol):
 
 
 def _float_tol(tol, pv, qv, ctx: GibbsContext) -> Number:
-    """Comparison tolerance of the float sweeps; checks the entries and
-    the norms too."""
-    _require_finite(pv, qv)
+    """Comparison tolerance of the float sweeps; checks the norms too."""
     t = auto_tol(tol, pv, qv, ctx.g)
     _check_norms(pv, qv, norm_tol(t))
     return t
@@ -247,7 +237,6 @@ def majorization_witness(p, q, ctx: GibbsContext,
         x, pn, pd, qn, qd = hit
         return (Fraction(x, ctx.D), Fraction(pn, pd * lp.scale),
                 Fraction(qn, qd * lq.scale))
-    _require_finite(pv, qv)
     t = auto_tol(tol, pv, qv, ctx.g)
     return _float_violation(lorenz_curve(pv, ctx), lorenz_curve(qv, ctx), t)
 
@@ -308,7 +297,7 @@ def embed(p, ctx: GibbsContext) -> tuple[Number, ...]:
 def unembed(y: Sequence[Number], ctx: GibbsContext) -> tuple[Number, ...]:
     """Block sums; the left inverse of embed."""
     ctx.require_rational()
-    y = tuple(y)
+    y = as_values(y)
     if len(y) != ctx.D:
         raise DomainError(f"embedded vector must have length {ctx.D}")
     out = []
@@ -322,10 +311,9 @@ def unembed(y: Sequence[Number], ctx: GibbsContext) -> tuple[Number, ...]:
 def majorizes_classical(x: Sequence[Number], y: Sequence[Number],
                         tol: Number | None = None) -> bool:
     """Sorted-descending partial sums of x dominate those of y."""
-    x, y = tuple(x), tuple(y)
+    x, y = as_values(x), as_values(y)
     if len(x) != len(y):
         raise DomainError("vectors must have equal length")
-    _require_finite(x, y)
     t = auto_tol(tol, x, y)
     _check_norms(x, y, norm_tol(t))
     xs = sorted(x, reverse=True)

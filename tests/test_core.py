@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from thermo_ops import (ConvexDecomposition, DomainError, Population,
-                        StochasticMatrix, ThermoPermutation,
-                        gibbs_context_from_weights, is_detailed_balanced,
-                        is_gibbs_preserving, make_edp_step,
-                        make_gibbs_context, thermo_transposition,
-                        validate_stochastic)
-from thermo_ops.core import MAX_FIT_TOTAL, auto_tol, exact_mode
+                        StochasticMatrix, ThermoPermutation, apply_plt,
+                        beta_order, embed, gibbs_context_from_weights,
+                        in_convex_hull, is_detailed_balanced,
+                        is_gibbs_preserving, lorenz_curve, make_edp_step,
+                        make_gibbs_context, make_plt_step,
+                        relative_entropy, relax, simplex_coordinates,
+                        thermo_transposition, unembed, validate_stochastic)
+from thermo_ops.core import MAX_FIT_TOTAL, as_values, auto_tol, exact_mode
+from thermo_ops.io import population_to_json
 from thermo_ops.linprog import gibbs_map_exists
 
 F = Fraction
@@ -95,6 +98,43 @@ class TestPopulation:
 
     def test_norm_free(self):
         assert Population((F(1, 2), F(1, 4))).norm == F(3, 4)
+
+
+_CTX3 = gibbs_context_from_weights([F(1, 2), F(1, 3), F(1, 6)])
+
+#: every library entry point that takes a raw tuple, called on it
+_RAW_TUPLE_ENTRIES = {
+    "as_values": as_values,
+    "relative_entropy": lambda x: relative_entropy(x, _CTX3),
+    "beta_order": lambda x: beta_order(x, _CTX3),
+    "lorenz_curve": lambda x: lorenz_curve(x, _CTX3),
+    "embed": lambda x: embed(x, _CTX3),
+    "unembed": lambda x: unembed(x + (0.5, 0.5, 0.5), _CTX3),
+    "population_to_json": population_to_json,
+    "relax": lambda x: relax(x, 1.0, 1.0, _CTX3),
+    "apply_plt": lambda x: apply_plt(make_plt_step(_CTX3, 0, 1, 0.5), x,
+                                     _CTX3),
+    "simplex_coordinates": lambda x: simplex_coordinates([x]),
+    "in_convex_hull point": lambda x: in_convex_hull(x, [(1, 0, 0)]),
+    "in_convex_hull generator": lambda x: in_convex_hull((1, 0, 0), [x]),
+    "gibbs_map_exists p": lambda x: gibbs_map_exists(x, _CTX3.g, _CTX3),
+    "gibbs_map_exists q": lambda x: gibbs_map_exists(_CTX3.g, x, _CTX3),
+}
+
+
+class TestNonFiniteRawTuples:
+    """A NaN or infinite float entry of a raw tuple is a DomainError at
+    every entry point, as it is for a Population."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", sorted(_RAW_TUPLE_ENTRIES))
+    def test_rejected(self, entry, bad):
+        with pytest.raises(DomainError, match="finite"):
+            _RAW_TUPLE_ENTRIES[entry]((bad, 0.5, 0.5))
+
+    @pytest.mark.parametrize("entry", sorted(_RAW_TUPLE_ENTRIES))
+    def test_finite_entries_accepted(self, entry):
+        _RAW_TUPLE_ENTRIES[entry]((0.5, 0.25, 0.25))
 
 
 class TestValidateStochastic:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from thermo_ops import (DomainError, NotAchievable, beta_bar_from_physical,
                         find_s_for_target, j_lower_bound,
                         j_lower_bound_with_argmax, j_probabilities,
                         j_upper_bound, jc_params, plt_max, region_sweep)
+from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS, SOLVE_TOL
 
 LOG4_3 = math.log(4.0) / 3.0
 
@@ -125,6 +127,64 @@ class TestSolve:
     def test_target_range_checked(self):
         with pytest.raises(DomainError):
             find_s_for_target(1.5, 1.0)
+
+    def test_default_tol_is_solve_tol(self):
+        assert find_s_for_target(0.3, 1.0, tol=None) == find_s_for_target(
+            0.3, 1.0, tol=SOLVE_TOL)
+
+    @pytest.mark.parametrize("target,beta_bar", [
+        (0.3, 1.0), (0.6, 0.5), (0.95, 3.0), (0.5, 0.05), (0.2, 0.01),
+        (0.999, 0.2), (0.9, 0.05)])
+    def test_first_bracket_matches_full_scan(self, target, beta_bar):
+        assert find_s_for_target(target, beta_bar) == _full_scan_solve(
+            target, beta_bar)
+
+    def test_reachable_solve_near_term_cap(self):
+        """At beta_bar 2.31e-4 the series holds 99 680 terms; scanning the
+        whole grid took about 10 s, stopping at the first bracket takes
+        about 0.5 s."""
+        beta_bar = 2.31e-4
+        m = jc_params(beta_bar, 0.0, tol=min(SOLVE_TOL / 4, 1e-10)).m
+        assert 0.99 * MAX_SOLVE_TERMS < m <= MAX_SOLVE_TERMS
+        start = time.perf_counter()
+        s = find_s_for_target(0.3, beta_bar)
+        assert time.perf_counter() - start < 5
+        _, down = j_probabilities(jc_params(beta_bar, s, tol=1e-12))
+        assert abs(down - 0.3) <= SOLVE_TOL
+
+
+def _full_scan_solve(target, beta_bar, tol=SOLVE_TOL):
+    """The solve as it was before the early stop: every grid point is
+    evaluated, and the first bracket is bisected."""
+    m = jc_params(beta_bar, 0.0, tol=min(tol / 4, 1e-10)).m
+    n = np.arange(1, m + 1, dtype=np.float64)
+    w = np.exp(-beta_bar * (n - 1)) * (1.0 - math.exp(-beta_bar))
+    roots = np.sqrt(n)
+
+    def f(s):
+        return float(np.dot(np.sin(s * roots) ** 2, w))
+
+    best = s_best = prev_s = 0.0
+    bracket = None
+    for s in np.arange(0.0, 200.0 + 0.05, 0.05)[1:]:
+        v = f(float(s))
+        if v > best:
+            best, s_best = v, float(s)
+        if bracket is None and v >= target:
+            bracket = (prev_s, float(s))
+        prev_s = float(s)
+    if bracket is None:
+        return NotAchievable(best, s_best)
+    a, b = bracket
+    for _ in range(200):
+        mid = (a + b) / 2
+        if f(mid) >= target:
+            b = mid
+        else:
+            a = mid
+        if abs(f(b) - target) <= tol / 2:
+            break
+    return b
 
 
 class TestPhysicalUnits:
