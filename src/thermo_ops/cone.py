@@ -17,9 +17,10 @@ from typing import Sequence
 
 from .birkhoff import pull_back
 from .core import (DomainError, GibbsContext, Number, as_values, coerce_exact,
-                   exact_mode)
+                   has_float)
 from .linprog import in_convex_hull
-from .majorization import exact_lorenz, lorenz_curve, thermo_majorizes
+from .majorization import (as_number, exact_lorenz, slot_counts,
+                           thermo_majorizes)
 
 
 @dataclass(frozen=True)
@@ -39,21 +40,16 @@ def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
     """Beta-order saturation points: for each level ordering, read the
     source curve at that ordering's cumulative-weight grid.
 
-    A grid point's curve value depends only on its cumulative weight, so
-    each is read once.  In exact mode the curve is the integer one, read in
-    slots, and every value is a numerator over one common denominator.
+    The curve is the integer one, read in slots, so a grid point's value is
+    a numerator over one common denominator and depends only on its
+    cumulative slot count: each is read once, and vertices are deduplicated
+    exactly.  Entries are Fractions, or floats when an input number is one.
     Every vertex is then checked to lie in the cone (all three routes).
     """
     pv = as_values(p)
     n = ctx.n
-    exact = exact_mode(ctx, None, pv)
-    if exact:
-        curve = exact_lorenz(pv, ctx)
-        read = curve.at
-        steps = ctx.d
-    else:
-        read = lorenz_curve(pv, ctx).evaluate
-        steps = ctx.g
+    curve = exact_lorenz(pv, ctx)
+    steps = slot_counts(ctx)[0]
     values = {}
     seen = set()
     out = []
@@ -62,20 +58,20 @@ def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
         cx = 0
         prev = 0
         for k in perm:
-            cx = cx + steps[k]
+            cx += steps[k]
             y = values.get(cx)
             if y is None:
-                y = values[cx] = read(cx)
+                y = values[cx] = curve.at(cx)
             vertex[k] = y - prev
             prev = y
         vt = tuple(vertex)
         if vt not in seen:
             seen.add(vt)
             out.append(vt)
-    if exact:
-        denom = curve.scale * curve.lam
-        frac = {v: Fraction(v, denom) for vt in out for v in vt}
-        out = [tuple(frac[v] for v in vt) for vt in out]
+    denom = curve.scale * curve.lam
+    inexact = has_float(pv, ctx.g)
+    number = {v: as_number(v, denom, inexact) for vt in out for v in vt}
+    out = [tuple(number[v] for v in vt) for vt in out]
     for v in out:
         if not cone_membership(pv, v, ctx):
             raise DomainError("internal: vertex escapes the cone")
@@ -214,7 +210,10 @@ def simplex_coordinates(points: Sequence[Sequence[Number]]
         pt = as_values(pt)
         if len(pt) != 3:
             raise DomainError("simplex coordinates need exactly three levels")
-        total = float(sum(pt))
-        a, b, c = (float(v) / total for v in pt)
+        total = sum(pt)
+        if any(v < 0 for v in pt) or not total > 0:
+            raise DomainError("simplex coordinates need nonnegative entries "
+                              "with a positive sum")
+        a, b, c = (float(v / total) for v in pt)
         out.append((b + c / 2, c * (3 ** 0.5) / 2))
     return out

@@ -201,6 +201,15 @@ def as_values(p) -> tuple[Number, ...]:
     return x
 
 
+def has_float(*value_groups) -> bool:
+    """Whether any of the numbers is a float, the one inexact type."""
+    for group in value_groups:  # a plain loop: this runs on every library call
+        for v in group:
+            if isinstance(v, float):
+                return True
+    return False
+
+
 def auto_tol(tol: Number | None, *value_groups) -> Number:
     """The tolerance rule of every comparison in the library.  An explicit
     ``tol`` wins and must be finite and nonnegative (a DomainError
@@ -211,27 +220,15 @@ def auto_tol(tol: Number | None, *value_groups) -> Number:
             raise DomainError(
                 f"tolerance must be finite and nonnegative, got {tol}")
         return tol
-    for group in value_groups:
-        for v in group:
-            if isinstance(v, float):
-                return FLOAT_TOL
-    return 0
+    return FLOAT_TOL if has_float(*value_groups) else 0
 
 
-def exact_mode(ctx: GibbsContext, tol: Number | None, *value_groups) -> bool:
-    """True when the integer kernel decides: a rational context, exact
-    entries and a tolerance that is unset or zero (``0``, ``Fraction(0)``
-    or ``0.0``)."""
-    return (ctx.rational and (tol is None or tol == 0)
-            and all(isinstance(v, (int, Fraction))
-                    for group in value_groups for v in group))
-
-
-def norm_tol(t: Number) -> Number:
-    """Slack of a normalisation check at the resolved tolerance ``t``: a
-    float ``t`` is floored at ``FLOAT_TOL``, because float sums that should
-    agree can round apart; an exact ``t`` is used as it is."""
-    return max(t, FLOAT_TOL) if isinstance(t, float) else t
+def norm_tol(t: Number, *value_groups) -> Number:
+    """Slack of a normalisation check of the given numbers at the resolved
+    tolerance ``t``: floored at ``FLOAT_TOL`` when one of them is a float,
+    because float entries meant to sum alike can round apart; ``t`` as it
+    is when all are exact."""
+    return max(t, FLOAT_TOL) if has_float(*value_groups) else t
 
 
 def coerce_exact(values, what: str) -> list[Fraction]:

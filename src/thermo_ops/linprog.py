@@ -136,6 +136,8 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
         return False
     k = len(gens)
     dim = len(pt)
+    if any(len(gen) != dim for gen in gens):
+        raise DomainError("point and generator dimensions differ")
     rows = [[_ONE] * k]
     rhs = [_ONE]
     for i in range(dim):

@@ -3,12 +3,13 @@ weighted absolute-deviation characterisation, and classical majorisation of
 the embedded vectors), plus the beta-ordering, the embedding map and the
 relative-entropy quantities used by the perpetuum-mobile rate bound.
 
-Exact mode (a rational context, exact populations and zero tolerance)
-decides every route in integer arithmetic.  p and q go over one common
-denominator ``scale`` and the weights are counted in slots (``g = d/D``), so
-a Lorenz curve has integer elbows: x in slots, y in units of ``1/scale``.
-Every comparison is then an integer cross-multiplication.  Float mode runs
-the same sweeps on floats with a tolerance.
+Every route is decided in integer arithmetic, for float inputs as for exact
+ones: every finite float is a dyadic rational and converts exactly.  p and q
+go over one common denominator ``scale`` and the weights are counted in
+slots (``g = d/D``), so a Lorenz curve has integer elbows: x in slots, y in
+units of ``1/scale``.  ``scale`` is a multiple of the resolved tolerance's
+denominator too, so the tolerance is an integer slack in those units (zero
+for exact inputs), and every comparison is an integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .core import (DomainError, GibbsContext, Number, as_values, auto_tol,
-                   exact_mode, norm_tol)
+                   has_float, norm_tol)
 
 Route = Literal["curve", "abs", "embedded", "all"]
 
@@ -41,12 +42,29 @@ def _check_dims(ctx: GibbsContext, *value_groups) -> None:
 
 
 def _scaled(*value_groups):
-    """Integer numerators of exact values over one common denominator, and
-    that denominator."""
-    scale = math.lcm(*(v.denominator for group in value_groups
-                       for v in group))
-    return ([[v.numerator * (scale // v.denominator) for v in group]
-             for group in value_groups], scale)
+    """Integer numerators of the values over one common denominator, and
+    that denominator; a float is a dyadic rational and converts exactly."""
+    ratios = [[v.as_integer_ratio() for v in group] for group in value_groups]
+    scale = math.lcm(*(b for group in ratios for _, b in group))
+    return [[a * (scale // b) for a, b in group] for group in ratios], scale
+
+
+def slot_counts(ctx: GibbsContext) -> tuple[tuple[int, ...], int]:
+    """The weights as slot counts d over a denominator D, g = d/D: ``ctx.d``
+    over ``ctx.D`` in a rational context, else the numerators of the float
+    weights over their common power of two.  Those need not sum to D; no
+    sweep reads D."""
+    if ctx.rational:
+        return ctx.d, ctx.D
+    ratios = [gi.as_integer_ratio() for gi in ctx.g]
+    D = max(b for _, b in ratios)
+    return tuple(a * (D // b) for a, b in ratios), D
+
+
+def as_number(num: int, den: int, inexact: bool) -> Number:
+    """num/den as a Fraction, or as the correctly rounded float when
+    ``inexact`` (some input number was a float)."""
+    return num / den if inexact else Fraction(num, den)
 
 
 def _ratio_keys(nums: Sequence[int], d: Sequence[int],
@@ -56,33 +74,34 @@ def _ratio_keys(nums: Sequence[int], d: Sequence[int],
     return [x * (lam // di) for x, di in zip(nums, d)]
 
 
-def _exact_norms(top: int, bottom: int, pv, qv) -> None:
-    if top != bottom:
+def _integer_pair(pv, qv, ctx: GibbsContext, tol):
+    """p and q as numerators over one common denominator ``scale``, and the
+    resolved tolerance as an integer slack in units of ``1/scale``.  A
+    dimension or normalisation mismatch is a DomainError."""
+    _check_dims(ctx, pv, qv)
+    t = auto_tol(tol, pv, qv, ctx.g)
+    (P, Q, (slack,)), scale = _scaled(pv, qv, (t,))
+    gap = abs(sum(P) - sum(Q))
+    if gap and gap > Fraction(norm_tol(t, pv, qv)) * scale:
         raise DomainError(f"normalisations differ: {sum(pv)} vs {sum(qv)}")
+    return P, Q, scale, slack
 
 
 def beta_order(p, ctx: GibbsContext) -> BetaOrder:
-    x = as_values(p)
-    _check_dims(ctx, x)
-    if exact_mode(ctx, None, x):
-        return BetaOrder(exact_lorenz(x, ctx).order)
-    g = ctx.g
-    return BetaOrder(tuple(
-        sorted(range(ctx.n), key=lambda i: (-(x[i] / g[i]), -x[i], i))))
+    return BetaOrder(exact_lorenz(p, ctx).order)
 
 
 class ExactLorenz:
-    """Lorenz curve of an exact population in integer units.
+    """Lorenz curve of a population in integer units.
 
     ``order`` is the beta-order, ``xs[k]`` the slot count of its first k
     levels and ``ys[k]`` their occupation in units of ``1/scale``; the
-    curve runs from (0, 0) to (D, norm * scale).  ``lam`` is lcm(d).
+    curve runs from (0, 0) to (sum of d, norm * scale).  ``lam`` is lcm(d).
     """
 
     __slots__ = ("order", "xs", "ys", "scale", "lam")
 
-    def __init__(self, nums: Sequence[int], scale: int, ctx: GibbsContext):
-        d = ctx.d
+    def __init__(self, nums: Sequence[int], scale: int, d: Sequence[int]):
         self.lam = math.lcm(*d)
         keys = _ratio_keys(nums, d, self.lam)
         self.order = tuple(sorted(range(len(nums)),
@@ -110,25 +129,24 @@ class ExactLorenz:
 
 
 def exact_lorenz(p, ctx: GibbsContext) -> ExactLorenz:
-    """Integer Lorenz curve of exact populations in a rational context."""
-    ctx.require_rational()
+    """Integer Lorenz curve of a population in the slot counts of ctx."""
     x = as_values(p)
     _check_dims(ctx, x)
     (nums,), scale = _scaled(x)
-    return ExactLorenz(nums, scale, ctx)
+    return ExactLorenz(nums, scale, slot_counts(ctx)[0])
 
 
-def lorenz_violation(a: ExactLorenz, b: ExactLorenz):
+def lorenz_violation(a: ExactLorenz, b: ExactLorenz, slack: int = 0):
     """One merged sweep over the elbows of both curves, in ascending slot
-    order: the first elbow x where a lies strictly below b, as
+    order: the first elbow x where a lies more than ``slack`` below b, as
     ``(x, a_num, a_den, b_num, b_den)`` with values ``num / (den * scale)``,
-    or None when a dominates b.  Both curves must share a context.
+    or None when a dominates b within the slack.  Both curves must share a
+    context and a scale, the slack's unit being ``1/scale``.
 
     ``i`` and ``j`` index the next elbow of each curve; the value at x is
     interpolated on the segment ending there, whose width is the den.
     """
     axs, ays, bxs, bys = a.xs, a.ys, b.xs, b.ys
-    sa, sb = a.scale, b.scale
     last = len(axs)
     i = j = 1
     while i < last:
@@ -137,7 +155,7 @@ def lorenz_violation(a: ExactLorenz, b: ExactLorenz):
         an = ays[i - 1] * ad + (ays[i] - ays[i - 1]) * (x - axs[i - 1])
         bd = bxs[j] - bxs[j - 1]
         bn = bys[j - 1] * bd + (bys[j] - bys[j - 1]) * (x - bxs[j - 1])
-        if an * bd * sb < bn * ad * sa:
+        if (an + slack * ad) * bd < bn * ad:
             return x, an, ad, bn, bd
         if x == axs[i]:
             i += 1
@@ -146,10 +164,19 @@ def lorenz_violation(a: ExactLorenz, b: ExactLorenz):
     return None
 
 
-def _exact_curves(pv, qv, ctx: GibbsContext):
-    _check_dims(ctx, pv, qv)
-    (P, Q), scale = _scaled(pv, qv)
-    return ExactLorenz(P, scale, ctx), ExactLorenz(Q, scale, ctx)
+def _curves(pv, qv, ctx: GibbsContext, tol):
+    P, Q, scale, slack = _integer_pair(pv, qv, ctx, tol)
+    d = slot_counts(ctx)[0]
+    return ExactLorenz(P, scale, d), ExactLorenz(Q, scale, d), slack
+
+
+def _key_pair(p, q, ctx: GibbsContext, tol):
+    """The ratio keys of p and q, the slot counts, and the slack in the
+    keys' unit ``1/(scale * lam)``."""
+    P, Q, _, slack = _integer_pair(as_values(p), as_values(q), ctx, tol)
+    d = slot_counts(ctx)[0]
+    lam = math.lcm(*d)
+    return _ratio_keys(P, d, lam), _ratio_keys(Q, d, lam), d, slack * lam
 
 
 @dataclass(frozen=True)
@@ -157,7 +184,8 @@ class LorenzCurve:
     """Piecewise-linear curve through the beta-ordered cumulative points.
 
     ``points[k] = (sum of g over the first k levels, sum of x over them)``;
-    concavity holds because the segment slopes are the sorted ratios.
+    concavity holds because the segment slopes are the sorted ratios.  The
+    routes read the integer curve; this one is the literal reference.
     """
 
     points: tuple[tuple[Number, Number], ...]
@@ -188,57 +216,31 @@ def lorenz_curve(p, ctx: GibbsContext) -> LorenzCurve:
     return LorenzCurve(tuple(pts))
 
 
-def _float_violation(lp: LorenzCurve, lq: LorenzCurve, t):
-    """Float-mode merged sweep: the first elbow x of either curve with
-    L_p(x) < L_q(x) - t, as (x, L_p(x), L_q(x))."""
-    for x in sorted({x for x, _ in lp.points} | {x for x, _ in lq.points}):
-        yp, yq = lp.evaluate(x), lq.evaluate(x)
-        if yp < yq - t:
-            return (x, yp, yq)
-    return None
-
-
-def _check_norms(p, q, tol):
-    np_, nq = sum(p), sum(q)
-    if abs(np_ - nq) > tol:
-        raise DomainError(f"normalisations differ: {np_} vs {nq}")
-
-
-def _float_tol(tol, pv, qv, ctx: GibbsContext) -> Number:
-    """Comparison tolerance of the float sweeps; checks the norms too."""
-    t = auto_tol(tol, pv, qv, ctx.g)
-    _check_norms(pv, qv, norm_tol(t))
-    return t
-
-
 def thermo_majorizes_curve(p, q, ctx: GibbsContext,
                            tol: Number | None = None) -> bool:
     """Lorenz-curve dominance checked at the elbows of either curve; the
     curves are piecewise linear, so elbow checks are sufficient."""
-    pv, qv = as_values(p), as_values(q)
-    if exact_mode(ctx, tol, pv, qv):
-        lp, lq = _exact_curves(pv, qv, ctx)
-        _exact_norms(lp.ys[-1], lq.ys[-1], pv, qv)
-        return lorenz_violation(lp, lq) is None
-    t = _float_tol(tol, pv, qv, ctx)
-    return _float_violation(lorenz_curve(pv, ctx), lorenz_curve(qv, ctx),
-                            t) is None
+    lp, lq, slack = _curves(as_values(p), as_values(q), ctx, tol)
+    return lorenz_violation(lp, lq, slack) is None
 
 
 def majorization_witness(p, q, ctx: GibbsContext,
                          tol: Number | None = None):
-    """First violated elbow as (x, L_p(x), L_q(x)), or None if p >=_T q."""
+    """First violated elbow as (x, L_p(x), L_q(x)), or None if p >=_T q.
+
+    x is a Fraction in a rational context and a float in a float one; the
+    curve values are floats when some input number is a float.  Each is the
+    exact value, rounded once."""
     pv, qv = as_values(p), as_values(q)
-    if exact_mode(ctx, tol, pv, qv):
-        lp, lq = _exact_curves(pv, qv, ctx)
-        hit = lorenz_violation(lp, lq)
-        if hit is None:
-            return None
-        x, pn, pd, qn, qd = hit
-        return (Fraction(x, ctx.D), Fraction(pn, pd * lp.scale),
-                Fraction(qn, qd * lq.scale))
-    t = auto_tol(tol, pv, qv, ctx.g)
-    return _float_violation(lorenz_curve(pv, ctx), lorenz_curve(qv, ctx), t)
+    lp, lq, slack = _curves(pv, qv, ctx, tol)
+    hit = lorenz_violation(lp, lq, slack)
+    if hit is None:
+        return None
+    x, pn, pd, qn, qd = hit
+    inexact = has_float(pv, qv, ctx.g)
+    return (as_number(x, slot_counts(ctx)[1], not ctx.rational),
+            as_number(pn, pd * lp.scale, inexact),
+            as_number(qn, qd * lq.scale, inexact))
 
 
 def thermo_majorizes_abs(p, q, ctx: GibbsContext,
@@ -248,32 +250,15 @@ def thermo_majorizes_abs(p, q, ctx: GibbsContext,
     Both sides are piecewise linear in the threshold with equal values at zero
     and equal slope past the largest kink, so checking the kink set
     {0} u {p_j/g_j} u {q_j/g_j} decides the inequality for every threshold.
-    In exact mode the thresholds are counted in units of the ratio keys, so
-    g_j |x_j/g_j - a| becomes d_j |key_j - k| over one common denominator.
+    The thresholds are counted in units of the ratio keys, so
+    g_j |x_j/g_j - a| becomes d_j |key_j - k| over the common denominator
+    ``scale * lam``, the unit of the slack too.
     """
-    pv, qv = as_values(p), as_values(q)
-    g = ctx.g
-    if exact_mode(ctx, tol, pv, qv):
-        _check_dims(ctx, pv, qv)
-        (P, Q), _ = _scaled(pv, qv)
-        _exact_norms(sum(P), sum(Q), pv, qv)
-        d = ctx.d
-        lam = math.lcm(*d)
-        r, s = _ratio_keys(P, d, lam), _ratio_keys(Q, d, lam)
-        for k in {0, *r, *s}:
-            lhs = sum(dj * abs(sj - k) for dj, sj in zip(d, s))
-            rhs = sum(dj * abs(rj - k) for dj, rj in zip(d, r))
-            if lhs > rhs:
-                return False
-        return True
-    t = _float_tol(tol, pv, qv, ctx)
-    kinks = {0}
-    kinks |= {pv[j] / g[j] for j in range(ctx.n)}
-    kinks |= {qv[j] / g[j] for j in range(ctx.n)}
-    for a in kinks:
-        lhs = sum(g[j] * abs(qv[j] / g[j] - a) for j in range(ctx.n))
-        rhs = sum(g[j] * abs(pv[j] / g[j] - a) for j in range(ctx.n))
-        if lhs > rhs + t:
+    r, s, d, slack = _key_pair(p, q, ctx, tol)
+    for k in {0, *r, *s}:
+        lhs = sum(dj * abs(sj - k) for dj, sj in zip(d, s))
+        rhs = sum(dj * abs(rj - k) for dj, rj in zip(d, r))
+        if lhs > rhs + slack:
             return False
     return True
 
@@ -315,7 +300,8 @@ def majorizes_classical(x: Sequence[Number], y: Sequence[Number],
     if len(x) != len(y):
         raise DomainError("vectors must have equal length")
     t = auto_tol(tol, x, y)
-    _check_norms(x, y, norm_tol(t))
+    if abs(sum(x) - sum(y)) > norm_tol(t, x, y):
+        raise DomainError(f"normalisations differ: {sum(x)} vs {sum(y)}")
     xs = sorted(x, reverse=True)
     ys = sorted(y, reverse=True)
     cx = cy = 0
@@ -327,11 +313,11 @@ def majorizes_classical(x: Sequence[Number], y: Sequence[Number],
     return True
 
 
-def _blocks_majorize(x, y, tol) -> bool:
+def _blocks_majorize(x, y, slack: int) -> bool:
     """Classical majorisation of two run-length vectors of equal length,
-    given as (slot value, run length) blocks.  Between block boundaries both
-    sorted partial sums are linear, so the union of the boundaries of both
-    vectors decides."""
+    given as (slot value, run length) blocks of integers.  Between block
+    boundaries both sorted partial sums are linear, so the union of the
+    boundaries of both vectors decides."""
     xs = sorted(x, key=lambda blk: blk[0], reverse=True)
     ys = sorted(y, key=lambda blk: blk[0], reverse=True)
     i = j = 0
@@ -341,7 +327,7 @@ def _blocks_majorize(x, y, tol) -> bool:
         run = min(lx, ly)
         cx += vx * run
         cy += vy * run
-        if cx < cy - tol:
+        if cx < cy - slack:
             return False
         lx -= run
         ly -= run
@@ -359,25 +345,11 @@ def thermo_majorizes_embedded(p, q, ctx: GibbsContext,
                               tol: Number | None = None) -> bool:
     """Classical majorisation of the embedded vectors, evaluated on their
     blocks (value p_i/d_i repeated d_i times), so no D slots are built.
-    In exact mode the slot values are the ratio keys over one common
-    denominator and every partial sum is an integer."""
+    The slot values are the ratio keys over the common denominator
+    ``scale * lam``, so every partial sum is an integer."""
     ctx.require_rational()
-    pv, qv = as_values(p), as_values(q)
-    _check_dims(ctx, pv, qv)
-    d = ctx.d
-    if exact_mode(ctx, tol, pv, qv):
-        (P, Q), _ = _scaled(pv, qv)
-        _exact_norms(sum(P), sum(Q), pv, qv)
-        lam = math.lcm(*d)
-        return _blocks_majorize(tuple(zip(_ratio_keys(P, d, lam), d)),
-                                tuple(zip(_ratio_keys(Q, d, lam), d)), 0)
-    t = _float_tol(tol, pv, qv, ctx)
-
-    def blocks(x):
-        return tuple((xi / di if isinstance(xi, float) else Fraction(xi, di),
-                      di) for xi, di in zip(x, d))
-
-    return _blocks_majorize(blocks(pv), blocks(qv), t)
+    r, s, d, slack = _key_pair(p, q, ctx, tol)
+    return _blocks_majorize(tuple(zip(r, d)), tuple(zip(s, d)), slack)
 
 
 def thermo_majorizes(p, q, ctx: GibbsContext, tol: Number | None = None,
@@ -402,6 +374,7 @@ def relative_entropy(x, ctx: GibbsContext,
                      tol: Number | None = None) -> float:
     """S(x||g) in nats, with 0 log 0 = 0; zero exactly at the thermal state."""
     xv = as_values(x)
+    _check_dims(ctx, xv)
     if abs(sum(xv) - 1) > auto_tol(tol, xv):
         raise DomainError("relative entropy expects a normalised population")
     total = 0.0

@@ -10,9 +10,10 @@ from thermo_ops import (ConvexDecomposition, DomainError, Population,
                         in_convex_hull, is_detailed_balanced,
                         is_gibbs_preserving, lorenz_curve, make_edp_step,
                         make_gibbs_context, make_plt_step,
-                        relative_entropy, relax, simplex_coordinates,
+                        majorization_witness, relative_entropy, relax,
+                        simplex_coordinates, thermo_majorizes,
                         thermo_transposition, unembed, validate_stochastic)
-from thermo_ops.core import MAX_FIT_TOTAL, as_values, auto_tol, exact_mode
+from thermo_ops.core import MAX_FIT_TOTAL, as_values, auto_tol
 from thermo_ops.io import population_to_json
 from thermo_ops.linprog import gibbs_map_exists
 
@@ -135,6 +136,20 @@ class TestNonFiniteRawTuples:
     @pytest.mark.parametrize("entry", sorted(_RAW_TUPLE_ENTRIES))
     def test_finite_entries_accepted(self, entry):
         _RAW_TUPLE_ENTRIES[entry]((0.5, 0.25, 0.25))
+
+
+class TestRawTupleMisuse:
+    """Raw tuples of the wrong shape or sign end in a DomainError, not in
+    a bare Python error."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: simplex_coordinates([(0, 0, 0)]),
+        lambda: simplex_coordinates([(-1, 0.5, 0.5)]),
+        lambda: in_convex_hull((1, 0, 0), [(1, 0)]),
+    ], ids=["simplex-zero-sum", "simplex-negative", "hull-dimensions"])
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestValidateStochastic:
@@ -265,10 +280,25 @@ class TestTolerancePolicy:
                 check()
 
     @pytest.mark.parametrize("zero", [0, F(0), 0.0])
-    def test_explicit_zero_is_exact_mode(self, zero, two_thirds_ctx):
-        assert exact_mode(two_thirds_ctx, zero, (F(1), F(0)))
-        assert not exact_mode(two_thirds_ctx, zero, (1.0, 0.0))
-        assert not exact_mode(two_thirds_ctx, F(1, 10), (F(1), F(0)))
+    def test_explicit_zero_compares_at_zero_slack(self, zero,
+                                                  two_thirds_ctx):
+        """A zero tolerance of any type is zero slack: exact inputs give
+        Fraction witnesses, and float entries 2^-40 above the source's curve
+        are a violation that the default 1e-9 forgives."""
+        ctx = two_thirds_ctx
+        eps = F(1, 10**12)
+        p, q = (F(1, 2), F(1, 2)), (F(1, 2) - eps, F(1, 2) + eps)
+        witness = majorization_witness(p, q, ctx, zero)
+        assert witness == (F(1, 3), F(1, 2), F(1, 2) + eps)
+        assert all(type(v) is F for v in witness)
+        assert not thermo_majorizes(p, q, ctx, zero, route="all")
+        assert majorization_witness(p, q, ctx, F(1, 10)) is None
+        e = 2.0 ** -40
+        fp, fq = (0.5, 0.5), (0.5 - e, 0.5 + e)
+        assert majorization_witness(fp, fq, ctx, zero) == (F(1, 3), 0.5,
+                                                           0.5 + e)
+        assert not thermo_majorizes(fp, fq, ctx, zero, route="all")
+        assert thermo_majorizes(fp, fq, ctx, route="all")
 
     def test_exact_near_miss_rejected(self, two_thirds_ctx):
         """Exact inputs compare at zero tolerance: 10^-12 off is off."""

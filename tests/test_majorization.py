@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from thermo_ops import (DomainError, beta_order, embed, lorenz_curve,
-                        majorization_witness, majorizes_classical,
-                        perpetuum_rate,
+from hypothesis import given, settings, strategies as st
+
+from thermo_ops import (DomainError, beta_order, embed,
+                        gibbs_context_from_weights, lorenz_curve,
+                        make_gibbs_context, majorization_witness,
+                        majorizes_classical, perpetuum_rate,
                         relative_entropy, thermo_majorizes,
                         thermo_majorizes_abs, thermo_majorizes_curve,
                         thermo_majorizes_embedded, unembed)
@@ -199,15 +202,20 @@ def _criterion_1_pairs(seed, count):
         yield ctx, p, q
 
 
+def _floats(x):
+    return tuple(float(v) for v in x)
+
+
 class TestIntegerKernel:
     def test_block_embedded_equals_literal_embedding(self):
         seen = set()
         for ctx, p, q in _criterion_1_pairs(31, 300):
-            verdict = thermo_majorizes_embedded(p, q, ctx)
-            assert verdict == majorizes_classical(embed(p, ctx),
-                                                  embed(q, ctx))
-            seen.add(verdict)
-        assert seen == {True, False}
+            for a, b in ((p, q), (_floats(p), _floats(q))):
+                verdict = thermo_majorizes_embedded(a, b, ctx)
+                assert verdict == majorizes_classical(embed(a, ctx),
+                                                      embed(b, ctx))
+                seen.add((type(a[0]), verdict))
+        assert seen == {(t, v) for t in (F, float) for v in (True, False)}
 
     def test_witness_equals_evaluate_reference(self):
         hits = 0
@@ -242,10 +250,68 @@ class TestIntegerKernel:
 
     def test_beta_order_matches_fraction_key(self):
         for ctx, p, _ in _criterion_1_pairs(43, 200):
-            g = ctx.g
-            key = sorted(range(ctx.n),
-                         key=lambda i: (-(p[i] / g[i]), -p[i], i))
-            assert beta_order(p, ctx).perm == tuple(key)
+            float_ctx = make_gibbs_context(ctx.energies, None)
+            for c, x in ((ctx, p), (ctx, _floats(p)), (float_ctx, p),
+                         (float_ctx, _floats(p))):
+                g = c.g
+                key = sorted(range(c.n),
+                             key=lambda i: (-(F(x[i]) / F(g[i])), -x[i], i))
+                assert beta_order(x, c).perm == tuple(key)
+
+
+@st.composite
+def _float_instances(draw):
+    """Float populations in a rational context (D <= 1600) or a float one,
+    n <= 8: random pairs, and mixtures of p with the thermal state in
+    either direction; the tolerance is the default or an explicit one."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        d = draw(st.lists(st.integers(1, 200), min_size=n, max_size=n))
+        ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
+    else:
+        ctx = make_gibbs_context(
+            draw(st.lists(st.floats(0, 6), min_size=n, max_size=n)), None)
+    weights = st.lists(st.floats(0, 1), min_size=n,
+                       max_size=n).filter(lambda w: sum(w) > 0)
+
+    def population():
+        w = draw(weights)
+        return tuple(v / sum(w) for v in w)
+
+    p = population()
+    kind = draw(st.sampled_from(["random", "mixture", "reversed"]))
+    if kind == "random":
+        q = population()
+    else:
+        lam = draw(st.floats(0, 1))
+        q = tuple(lam * a + (1 - lam) * float(b) for a, b in zip(p, ctx.g))
+        if kind == "reversed":
+            p, q = q, p
+    return ctx, p, q, draw(st.sampled_from([None, 1e-6]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_float_instances())
+def test_float_inputs_match_the_float_reference(instance):
+    """The integer kernel on float inputs against the float evaluation of
+    both curves: the same verdict wherever no elbow's margin lies within
+    1e-12 of the tolerance boundary, and the same witness to 4 ulp."""
+    ctx, p, q, tol = instance
+    t = 1e-9 if tol is None else tol
+    lp, lq = lorenz_curve(p, ctx), lorenz_curve(q, ctx)
+    elbows = {x for x, _ in lp.points} | {x for x, _ in lq.points}
+    if any(abs(lp.evaluate(x) - lq.evaluate(x) + t) <= 1e-12
+           for x in elbows):
+        return
+    reference = _evaluate_witness(p, q, ctx, t)
+    witness = majorization_witness(p, q, ctx, tol)
+    assert thermo_majorizes_curve(p, q, ctx, tol) == (reference is None)
+    assert (witness is None) == (reference is None)
+    if witness is not None:
+        assert type(witness[0]) is (F if ctx.rational else float)
+        assert all(type(v) is float for v in witness[1:])
+        for a, b in zip(witness, reference):
+            assert abs(a - b) <= 4 * math.ulp(float(max(abs(a), abs(b))))
 
 
 class TestEntropyAndRate:
@@ -266,6 +332,12 @@ class TestEntropyAndRate:
         with pytest.raises(DomainError, match="normalised"):
             relative_entropy(short, two_thirds_ctx)
         assert relative_entropy((0.5, 0.5 - 1e-12), two_thirds_ctx) > 0
+
+    def test_dimension_mismatch(self):
+        from thermo_ops import gibbs_context_from_weights
+        ctx = gibbs_context_from_weights([F(1, 2), F(1, 3), F(1, 6)])
+        with pytest.raises(DomainError, match="dimensions"):
+            relative_entropy((0.5, 0.5), ctx)
 
     def test_rate(self, two_thirds_ctx):
         assert perpetuum_rate(two_thirds_ctx.g, two_thirds_ctx, 2.0) == 0.0
