@@ -1,26 +1,28 @@
 """Thermal Birkhoff decomposition.
 
-A Gibbs-preserving column-stochastic matrix lifts through the embedding to a
-doubly stochastic matrix on D slots; Birkhoff-von Neumann factorisation of the
-lift and pullback of each slot permutation express the original matrix as a
-convex mixture of thermo-permutations.  The mixture drives the classical
-simulation of an arbitrary thermal process by randomised elementary steps.
+Every Gibbs-preserving column-stochastic matrix T is a convex mixture of
+thermo-permutations, the pullbacks of slot permutations through the
+embedding.  A thermo-permutation is fully described by its block-count
+table (slots of block j sent into block i), an integer n x n table whose
+row and column sums are both the slot counts d.  ``T diag(d)`` has those
+sums too, so ``decompose`` splits it greedily into such tables without
+touching a slot.  The slot lift, its Birkhoff-von Neumann factorisation and
+the pullback stay as the oracle the acceptance suite checks it against.
+The mixture drives the classical simulation of an arbitrary thermal process
+by randomised elementary steps.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .core import (ConvexDecomposition, DomainError, EdpStep, GibbsContext,
                    Number, StochasticMatrix, ThermoPermutation, auto_tol,
-                   is_gibbs_preserving, make_edp_step)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
+                   is_gibbs_preserving, make_edp_step, validate_stochastic)
 
 @dataclass(frozen=True)
 class LiftedBistochastic:
@@ -84,26 +86,90 @@ def is_doubly_stochastic(M: LiftedBistochastic,
     return True
 
 
-def _perfect_matching(adj: list[list[int]], D: int) -> list[int] | None:
-    """Kuhn's augmenting-path matching; adj[c] lists rows with support."""
-    match_row = [-1] * D  # row -> column
+def _complete(X: dict, support: list[list[bool]], d: Sequence[int]) -> None:
+    """Augment the partial integer table X ({(i, j): count > 0}, margins at
+    most d, cells on the support) until every row and column sums to d, by
+    BFS augmenting paths on the network source -> rows -> columns -> sink."""
+    n = len(d)
+    row_left, col_left = list(d), list(d)
+    for (i, j), v in X.items():
+        row_left[i] -= v
+        col_left[j] -= v
+    while any(row_left):
+        # via_col[i]: the column row i was reached from (-1: the source);
+        # via_row[j]: the row column j was reached from
+        via_col = [-1 if left else None for left in row_left]
+        via_row = [None] * n
+        queue = deque(i for i in range(n) if row_left[i])
+        end = None
+        while queue and end is None:
+            i = queue.popleft()
+            for j in range(n):
+                if support[i][j] and via_row[j] is None:
+                    via_row[j] = i
+                    if col_left[j]:
+                        end = j
+                        break
+                    for k in range(n):
+                        if via_col[k] is None and (k, j) in X:
+                            via_col[k] = j
+                            queue.append(k)
+        if end is None:
+            raise DomainError(
+                "no integer table with the margins on the positive support; "
+                "the matrix is off its margins at this tolerance")
+        fwd, back, j = [], [], end  # cells the path fills and drains
+        while j != -1:
+            i = via_row[j]
+            fwd.append((i, j))
+            j = via_col[i]
+            if j != -1:
+                back.append((i, j))
+        push = min(col_left[end], row_left[i], *(X[c] for c in back))
+        col_left[end] -= push
+        row_left[i] -= push
+        for c in fwd:
+            X[c] = X.get(c, 0) + push
+        for c in back:
+            X[c] -= push
+            if not X[c]:
+                del X[c]
 
-    def try_col(c, seen):
-        for r in adj[c]:
-            if not seen[r]:
-                seen[r] = True
-                if match_row[r] == -1 or try_col(match_row[r], seen):
-                    match_row[r] = c
-                    return True
-        return False
 
-    for c in range(D):
-        if not try_col(c, [False] * D):
-            return None
-    perm = [-1] * D
-    for r, c in enumerate(match_row):
-        perm[c] = r
-    return perm
+def _split(F: Sequence[Sequence[Number]], d: Sequence[int], tol: Number
+           ) -> list[tuple[Number, dict]]:
+    """Greedy split of a nonnegative n x n table F whose row and column sums
+    are both d into (weight, X) pairs, X an integer table {(i, j): count}
+    with those sums, the weights summing to one (exactly, for int and
+    Fraction entries: ints become Fractions, so no division rounds).
+
+    Each step completes an integer table on the remainder's support (one
+    exists: the transportation constraints are totally unimodular),
+    subtracts the largest multiple that keeps the remainder nonnegative and
+    sets the cell that fixed it to zero, so the remainder's face loses a
+    dimension and at most (n-1)^2 + 1 terms appear.  The next table starts
+    from this one minus its emptied cells, the only cells that can leave
+    the support.
+    """
+    n = len(d)
+    R = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in F]
+    support = [[v > tol for v in row] for row in R]
+    X: dict = {}
+    out = []
+    remaining = 1
+    while remaining > tol:
+        _complete(X, support, d)
+        weight, i0, j0 = min((R[i][j] / v, i, j) for (i, j), v in X.items())
+        out.append((weight, dict(X)))
+        if len(out) > (n - 1) ** 2 + 1:
+            raise DomainError("factor count exceeded the Birkhoff bound")
+        remaining -= weight
+        for (i, j), v in list(X.items()):
+            R[i][j] = 0 if (i, j) == (i0, j0) else R[i][j] - weight * v
+            if R[i][j] <= tol:
+                support[i][j] = False
+                del X[i, j]
+    return out
 
 
 def birkhoff_von_neumann(M: LiftedBistochastic, tol: Number | None = None
@@ -111,70 +177,42 @@ def birkhoff_von_neumann(M: LiftedBistochastic, tol: Number | None = None
     """Convex split into slot permutations.
 
     Returns (weight, perm) pairs where perm[c] is the slot receiving the
-    content of slot c.  Each extraction empties at least one support cell, so
-    at most (D-1)^2 + 1 terms appear.  Exact when entries are rational.
+    content of slot c: the split of the lift with all-ones margins, so at
+    most (D-1)^2 + 1 terms appear.  Exact when entries are rational.
     """
     tol = auto_tol(tol, *M.rows)
     if not is_doubly_stochastic(M, tol):
         raise DomainError("matrix is not doubly stochastic within tolerance")
-    D = M.size
-    work = [list(row) for row in M.rows]
-    out = []
-    remaining = _ONE
-    limit = (D - 1) ** 2 + 1
-    while remaining > tol:
-        adj = [[r for r in range(D) if work[r][c] > tol] for c in range(D)]
-        perm = _perfect_matching(adj, D)
-        if perm is None:
-            raise DomainError(
-                "no perfect matching on the positive support; the matrix is "
-                "not doubly stochastic at this tolerance")
-        weight = min(work[perm[c]][c] for c in range(D))
-        for c in range(D):
-            work[perm[c]][c] -= weight
-        out.append((weight, tuple(perm)))
-        remaining -= weight
-        if len(out) > limit:
-            raise DomainError("factor count exceeded the Birkhoff bound")
-    return out
+    return [(w, tuple(r for _, r in sorted((c, r) for r, c in X)))
+            for w, X in _split(M.rows, [1] * M.size, tol)]
 
 
 def pull_back(perm: Sequence[int], ctx: GibbsContext) -> ThermoPermutation:
     """Block-count matrix of a slot permutation: P[i|j] = (slots of block j
     sent into block i) / d_j.  Always Gibbs-preserving."""
     ctx.require_rational()
+    if sorted(perm) != list(range(ctx.D)):
+        raise DomainError("perm must be a permutation of the D slots")
     blocks = _slot_blocks(ctx)
-    n = ctx.n
-    counts = [[0] * n for _ in range(n)]  # counts[i][j]
-    for c, r in enumerate(perm):
-        counts[blocks[r]][blocks[c]] += 1
-    cols = tuple(
-        tuple(Fraction(counts[i][j], ctx.d[j]) for i in range(n))
-        for j in range(n))
-    matrix = StochasticMatrix(cols)
-    if not is_gibbs_preserving(matrix, ctx):
-        raise DomainError("internal: pullback failed to preserve the weights")
-    return ThermoPermutation(tuple(perm), matrix)
+    return ThermoPermutation.from_counts(
+        Counter((blocks[r], blocks[c]) for c, r in enumerate(perm)), ctx.d)
 
 
 def decompose(T: StochasticMatrix, ctx: GibbsContext,
               tol: Number | None = None) -> ConvexDecomposition:
-    """Lift, factor, pull back and merge identical factors; the tolerance
-    is resolved once against T's entries and used by every stage."""
+    """Split ``T diag(d)``, whose row and column sums are both d, into
+    block-count tables: at most (n-1)^2 + 1 thermo-permutations, none
+    repeated.  The tolerance is resolved once against T's entries."""
     tol = auto_tol(tol, *T.cols)
-    lifted = lift(T, ctx, tol)
-    merged: dict[tuple, tuple[Number, ThermoPermutation]] = {}
-    for weight, perm in birkhoff_von_neumann(lifted, tol):
-        tp = pull_back(perm, ctx)
-        key = tp.pulled_back.cols
-        if key in merged:
-            w0, rep = merged[key]
-            merged[key] = (w0 + weight, rep)
-        else:
-            merged[key] = (weight, tp)
-    terms = tuple(sorted(((w, tp) for w, tp in merged.values()),
-                         key=lambda t: (-t[0], t[1].lifted_perm)))
-    return ConvexDecomposition(terms)
+    ctx.require_rational()
+    if not (is_gibbs_preserving(T, ctx, tol) and validate_stochastic(T, tol)):
+        raise DomainError("matrix is not a Gibbs-preserving stochastic "
+                          "matrix within tolerance")
+    d, n = ctx.d, ctx.n
+    table = [[T.cols[j][i] * d[j] for j in range(n)] for i in range(n)]
+    return ConvexDecomposition(tuple(
+        (w, ThermoPermutation.from_counts(X, d))
+        for w, X in _split(table, d, tol)))
 
 
 def sample_process(dec: ConvexDecomposition, p, rng_seed: int
@@ -182,7 +220,7 @@ def sample_process(dec: ConvexDecomposition, p, rng_seed: int
     """One draw: pick a factor with probability lambda_k, apply it."""
     rng = random.Random(rng_seed)
     u = Fraction(rng.getrandbits(53), 2**53)
-    acc = _ZERO
+    acc = 0
     for w, tp in dec.terms:
         acc += w
         if u < acc:
@@ -240,14 +278,9 @@ def random_gibbs_preserving(ctx: GibbsContext, rng: random.Random,
     construction, with exact rational entries."""
     weights = [Fraction(rng.randint(1, 20)) for _ in range(terms)]
     total = sum(weights)
-    n = ctx.n
-    cols = [[_ZERO] * n for _ in range(n)]
-    for w in weights:
-        tp = random_thermo_permutation(ctx, rng)
-        for j in range(n):
-            for i in range(n):
-                cols[j][i] += (w / total) * tp.pulled_back.cols[j][i]
-    return StochasticMatrix(tuple(tuple(c) for c in cols))
+    return ConvexDecomposition(tuple(
+        (w / total, random_thermo_permutation(ctx, rng))
+        for w in weights)).reconstruct()
 
 
 def random_edp_product(ctx: GibbsContext, rng: random.Random,

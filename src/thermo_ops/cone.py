@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .birkhoff import pull_back
-from .core import (DomainError, GibbsContext, Number, as_values, coerce_exact,
-                   has_float)
+from .core import (DomainError, GibbsContext, Number, ThermoPermutation,
+                   as_values, coerce_exact, has_float)
 from .linprog import in_convex_hull
 from .majorization import (as_number, exact_lorenz, slot_counts,
                            thermo_majorizes)
@@ -109,17 +108,11 @@ def _exhaustive_images(p, ctx: GibbsContext):
     """Distinct pullback images of all D! slot permutations, enumerated as
     block-count tables with margins d (every table is realised by at least
     one permutation)."""
-    pv = list(p)
-    n = ctx.n
-    d = ctx.d
     images = set()
-    for table in _tables(d, d):
-        img = [Fraction(0)] * n
-        for j in range(n):
-            for i in range(n):
-                if table[i][j]:
-                    img[i] += Fraction(table[i][j], d[j]) * pv[j]
-        images.add(tuple(img))
+    for table in _tables(ctx.d, ctx.d):
+        counts = {(i, j): v for i, row in enumerate(table)
+                  for j, v in enumerate(row)}
+        images.add(ThermoPermutation.from_counts(counts, ctx.d).apply(p))
     return images
 
 

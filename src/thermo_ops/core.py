@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -386,10 +386,19 @@ def thermo_transposition(ctx: GibbsContext, lo: int, hi: int) -> EdpStep:
 
 @dataclass(frozen=True)
 class ThermoPermutation:
-    """Pullback through the embedding of a permutation acting on D slots."""
+    """Pullback through the embedding of a permutation acting on D slots,
+    fully described by its block-count table."""
 
-    lifted_perm: tuple[int, ...]
     pulled_back: StochasticMatrix
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[tuple[int, int], int],
+                    d: Sequence[int]) -> "ThermoPermutation":
+        """P[i|j] = counts[i, j] / d_j: slots of block j sent into block i."""
+        n = len(d)
+        return cls(StochasticMatrix(tuple(
+            tuple(Fraction(counts.get((i, j), 0), d[j]) for i in range(n))
+            for j in range(n))))
 
     def apply(self, p) -> tuple[Number, ...]:
         return self.pulled_back.apply(p)

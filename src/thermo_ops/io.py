@@ -145,7 +145,6 @@ def matrix_from_json(obj: dict) -> StochasticMatrix:
 def decomposition_to_json(dec: ConvexDecomposition) -> dict:
     return {"n": dec.n,
             "terms": [{"weight": encode_number(w),
-                       "lifted_perm": list(tp.lifted_perm),
                        "cols": [[encode_number(v) for v in col]
                                 for col in tp.pulled_back.cols]}
                       for w, tp in dec.terms]}
@@ -153,21 +152,22 @@ def decomposition_to_json(dec: ConvexDecomposition) -> dict:
 
 def decomposition_from_json(obj: dict) -> ConvexDecomposition:
     """Each term must be an ``n x n`` column-stochastic matrix (zero
-    tolerance for exact entries) and carry a permutation of ``0..len-1``;
-    whether the two agree needs the context, which the file does not
-    hold."""
+    tolerance for exact entries).  A term of an older file may also carry
+    its slot permutation ``lifted_perm``, which must be a permutation of
+    ``0..len-1``; whether it agrees with the term needs the context, which
+    the file does not hold, and it is otherwise ignored."""
     _object(obj, "decomposition file")
     n = _integer(_require(obj, "n"), "n")
     terms = []
     for term in _array(_require(obj, "terms"), "terms"):
         _object(term, "each term")
         weight = decode_number(_require(term, "weight"))
-        perm = tuple(_integer(v, "each lifted_perm entry")
-                     for v in _array(_require(term, "lifted_perm"),
-                                     "lifted_perm"))
-        if sorted(perm) != list(range(len(perm))):
-            raise FormatError("each lifted_perm must be a permutation of "
-                              "0..len-1")
+        if "lifted_perm" in term:
+            perm = [_integer(v, "each lifted_perm entry")
+                    for v in _array(term["lifted_perm"], "lifted_perm")]
+            if sorted(perm) != list(range(len(perm))):
+                raise FormatError("each lifted_perm must be a permutation "
+                                  "of 0..len-1")
         matrix = StochasticMatrix(_square(_require(term, "cols"),
                                           "term cols"))
         if matrix.n != n:
@@ -175,7 +175,7 @@ def decomposition_from_json(obj: dict) -> ConvexDecomposition:
                               f"with n = {n}")
         if not validate_stochastic(matrix):
             raise FormatError("each term's cols must be column-stochastic")
-        terms.append((weight, ThermoPermutation(perm, matrix)))
+        terms.append((weight, ThermoPermutation(matrix)))
     return ConvexDecomposition(tuple(terms))
 
 

@@ -252,9 +252,14 @@ def thermo_majorizes_abs(p, q, ctx: GibbsContext,
     {0} u {p_j/g_j} u {q_j/g_j} decides the inequality for every threshold.
     The thresholds are counted in units of the ratio keys, so
     g_j |x_j/g_j - a| becomes d_j |key_j - k| over the common denominator
-    ``scale * lam``, the unit of the slack too.
+    ``scale * lam``, the unit of the slack too.  Each sum equals
+    ``2 L*(a) - N + a`` for the curve's conjugate L*, so the curve route's
+    slack t becomes ``2 t - (N_q - N_p)`` here.
     """
     r, s, d, slack = _key_pair(p, q, ctx, tol)
+    if slack:
+        slack = 2 * slack - sum(dj * (sj - rj)
+                                for dj, sj, rj in zip(d, s, r))
     for k in {0, *r, *s}:
         lhs = sum(dj * abs(sj - k) for dj, sj in zip(d, s))
         rhs = sum(dj * abs(rj - k) for dj, rj in zip(d, r))
@@ -347,7 +352,6 @@ def thermo_majorizes_embedded(p, q, ctx: GibbsContext,
     blocks (value p_i/d_i repeated d_i times), so no D slots are built.
     The slot values are the ratio keys over the common denominator
     ``scale * lam``, so every partial sum is an integer."""
-    ctx.require_rational()
     r, s, d, slack = _key_pair(p, q, ctx, tol)
     return _blocks_majorize(tuple(zip(r, d)), tuple(zip(s, d)), slack)
 

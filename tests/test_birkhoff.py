@@ -1,14 +1,20 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from thermo_ops import (DomainError, StochasticMatrix, birkhoff_von_neumann,
-                        decompose, is_doubly_stochastic, is_gibbs_preserving,
-                        lift, pull_back, random_edp_product,
+                        decompose, gibbs_context_from_weights,
+                        is_doubly_stochastic, is_gibbs_preserving, lift,
+                        pull_back, random_edp_product,
                         random_gibbs_preserving, sample_process,
                         simulate_mean, thermo_transposition)
 from thermo_ops.birkhoff import LiftedBistochastic
+from thermo_ops.cli import main
+from thermo_ops.io import (context_to_json, decomposition_to_json,
+                           matrix_to_json, population_to_json, read_json,
+                           write_json_atomic)
 
 from conftest import rand_ctx, rand_pop
 
@@ -85,6 +91,11 @@ class TestPullBack:
         tp = pull_back((1, 0, 2), two_thirds_ctx)
         assert tp.pulled_back.cols == StochasticMatrix.identity(2).cols
 
+    @pytest.mark.parametrize("perm", [(0, 0, 2), (0, 1), (1, 2, 3)])
+    def test_rejects_non_permutation(self, perm, two_thirds_ctx):
+        with pytest.raises(DomainError, match="permutation"):
+            pull_back(perm, two_thirds_ctx)
+
     def test_entries_quantised(self, seven_ctx):
         rng = random.Random(6)
         for _ in range(30):
@@ -132,11 +143,36 @@ class TestDecompose:
                 T = random_edp_product(ctx, rng, factors=rng.randint(1, 4))
             dec = decompose(T, ctx)
             assert dec.reconstruct().cols == T.cols
-            bound = (ctx.D - 1) ** 2 + 1
-            assert len(dec.terms) <= bound
+            assert len(dec.terms) <= (ctx.n - 1) ** 2 + 1
             for w, tp in dec.terms:
                 assert w > 0
                 assert is_gibbs_preserving(tp.pulled_back, ctx, 0)
+
+    def test_large_slot_count(self, tmp_path, capsys):
+        """n = 8 at D near 10^9 splits on the count table, exactly, in at
+        most (n-1)^2 + 1 = 50 terms, in-process and through the CLI."""
+        rng = random.Random(8)
+        d = [rng.randint(10**8 // 2, 12 * 10**7) for _ in range(8)]
+        D = sum(d)
+        ctx = gibbs_context_from_weights([F(di, D) for di in d])
+        T = random_edp_product(ctx, rng, factors=30)
+        dec = decompose(T, ctx)
+        assert dec.reconstruct().cols == T.cols
+        assert len(dec.terms) <= 50
+        for _, tp in dec.terms:
+            assert is_gibbs_preserving(tp.pulled_back, ctx, 0)
+        write_json_atomic(tmp_path / "ctx.json", context_to_json(ctx))
+        write_json_atomic(tmp_path / "t.json", matrix_to_json(T))
+        write_json_atomic(tmp_path / "p.json", population_to_json(ctx.g))
+        assert main(["decompose", "--t", str(tmp_path / "t.json"),
+                     "--ctx", str(tmp_path / "ctx.json"),
+                     "--out", str(tmp_path / "dec.json")]) == 0
+        assert read_json(tmp_path / "dec.json") == decomposition_to_json(dec)
+        assert main(["simulate", "--dec", str(tmp_path / "dec.json"),
+                     "--p", str(tmp_path / "p.json"), "--samples", "1000",
+                     "--seed", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["exact"] == [float(gi) for gi in ctx.g]
 
     def test_float_near_miss_decomposes_at_the_float_tolerance(
             self, two_thirds_ctx):

@@ -2,10 +2,12 @@ import json
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from thermo_ops import decompose, gibbs_context_from_weights, thermo_transposition
+from thermo_ops import (decompose, gibbs_context_from_weights, make_edp_step,
+                        thermo_transposition)
 from thermo_ops.cli import MAX_REGION_ROWS, _thread_count, build_parser, main
 from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS
 from thermo_ops.io import (context_to_json, decomposition_to_json,
@@ -13,6 +15,7 @@ from thermo_ops.io import (context_to_json, decomposition_to_json,
                            write_json_atomic)
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -99,6 +102,26 @@ class TestDecomposeSimulate:
         out = json.loads(capsys.readouterr().out)
         assert out["exact"] == [0.5, 0.5]
         assert out["mean"] == [0.5, 0.5]  # single-term mixture
+
+    def test_writes_no_slot_permutation(self, workdir):
+        d, ctx = workdir
+        t = make_edp_step(ctx, 0, 1, F(1, 3)).as_matrix(ctx)
+        write_json_atomic(d / "t.json", matrix_to_json(t))
+        assert run("decompose", "--t", d / "t.json", "--ctx", d / "ctx.json",
+                   "--out", d / "dec.json") == 0
+        terms = json.loads((d / "dec.json").read_text())["terms"]
+        assert len(terms) == 2
+        assert all(set(term) == {"weight", "cols"} for term in terms)
+
+    def test_old_format_file_gives_the_same_bytes(self, capsys):
+        """A decomposition file from when each term also carried its slot
+        permutation ``lifted_perm`` still reads, and ``simulate`` prints
+        the bytes it printed then."""
+        assert run("simulate", "--dec", DATA / "old_format_dec.json",
+                   "--p", DATA / "old_format_p.json",
+                   "--samples", 100000, "--seed", 8) == 0
+        expected = (DATA / "old_format_simulate.out").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_simulate_single_term_sigma_zero(self, workdir, capsys):
         d, ctx = workdir

@@ -1,7 +1,8 @@
 """Fuzz the CLI's file readers in-process: a random JSON value in any field of
-a population, matrix, context or decomposition file ends in exit 1 or 2
-with exactly one error line, never in a traceback.  A value that happens to
-form a valid file (say ``"x": [1, 0]``) may succeed instead."""
+a population, matrix, context or decomposition file (old or new format)
+ends in exit 1 or 2 with exactly one error line, never in a traceback.  A
+value that happens to form a valid file (say ``"x": [1, 0]``) may succeed
+instead."""
 
 import contextlib
 import io
@@ -29,6 +30,9 @@ BASE = {
     "t": matrix_to_json(_T),
     "dec": decomposition_to_json(decompose(_T, _CTX)),
 }
+# an older decomposition file, whose terms also carry a slot permutation
+BASE["old"] = {**BASE["dec"], "terms": [{**term, "lifted_perm": [2, 1, 0]}
+                                        for term in BASE["dec"]["terms"]]}
 
 # (file, path to the field); the command run for each file is in _argv
 FIELDS = [("p", ("x",)), ("p", ("x", 0)),
@@ -38,7 +42,7 @@ FIELDS = [("p", ("x",)), ("p", ("x", 0)),
           ("t", ("n",)), ("t", ("cols",)), ("t", ("cols", 0)),
           ("dec", ("terms",)), ("dec", ("terms", 0)),
           ("dec", ("terms", 0, "weight")),
-          ("dec", ("terms", 0, "lifted_perm")),
+          ("old", ("terms", 0, "lifted_perm")),
           ("dec", ("terms", 0, "cols")), ("dec", ("terms", 0, "cols", 0))]
 
 MISSING = object()
@@ -58,8 +62,8 @@ def _argv(kind, path):
     files = {name: os.path.join(path, f"{name}.json") for name in BASE}
     if kind == "t":
         return ["decompose", "--t", files["t"], "--ctx", files["ctx"]]
-    if kind == "dec":
-        return ["simulate", "--dec", files["dec"], "--p", files["p"],
+    if kind in ("dec", "old"):
+        return ["simulate", "--dec", files[kind], "--p", files["p"],
                 "--samples", "10", "--seed", "1"]
     return ["check-majorization", "--p", files["p"], "--q", files["q"],
             "--ctx", files["fit" if kind == "fit" else "ctx"]]

@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 
 from thermo_ops import (cone_membership, cone_vertices, hull_check,
-                        hull_facets, pull_back, simplex_coordinates,
-                        thermal_cone, thermo_majorizes)
+                        hull_facets, make_gibbs_context, pull_back,
+                        simplex_coordinates, thermal_cone, thermo_majorizes)
 from thermo_ops.linprog import in_convex_hull
 
 from conftest import rand_ctx, rand_pop
@@ -44,6 +44,14 @@ class TestVertices:
         g = (F(1, 3) * 1 + F(2, 3) * F(1, 2),
              F(1, 3) * 0 + F(2, 3) * F(1, 2))
         assert g == tuple(two_thirds_ctx.g)
+
+    def test_float_context(self):
+        ctx = make_gibbs_context([0, 1, 2], None)
+        p = (0.5, 0.3, 0.2)
+        verts = cone_vertices(p, ctx)
+        assert p in verts
+        for v in verts:
+            assert cone_membership(p, v, ctx)
 
     def test_vertex_count_and_membership(self):
         import math

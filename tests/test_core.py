@@ -327,7 +327,7 @@ class TestTolerancePolicy:
 class TestConvexDecomposition:
     @staticmethod
     def terms(weights):
-        ident = ThermoPermutation((0, 1), StochasticMatrix.identity(2))
+        ident = ThermoPermutation(StochasticMatrix.identity(2))
         return tuple((w, ident) for w in weights)
 
     def test_exact_weights_must_sum_to_exactly_one(self):

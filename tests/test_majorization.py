@@ -92,6 +92,24 @@ class TestAbsRoute:
         assert not thermo_majorizes_abs(q, p, two_thirds_ctx)
         assert thermo_majorizes_abs(q, two_thirds_ctx.g, two_thirds_ctx)
 
+    def test_tolerance_agrees_with_the_curve_route(self, two_thirds_ctx):
+        # the deviation sums count q's 7.5e-10 shortfall twice; at the curve
+        # route's slack alone the routes disagreed
+        e = 7.5e-10
+        p, q = (0.5, 0.5), (0.5 - e, 0.5 + e)
+        assert thermo_majorizes_curve(p, q, two_thirds_ctx, 1e-9)
+        assert thermo_majorizes_abs(p, q, two_thirds_ctx, 1e-9)
+        assert thermo_majorizes(p, q, two_thirds_ctx, 1e-9, route="all")
+
+
+class TestEmbeddedRoute:
+    def test_float_context(self):
+        ctx = make_gibbs_context([0.0, 1.0, 2.0], None)
+        p, q = (0.4, 0.35, 0.25), (0.5, 0.3, 0.2)
+        assert thermo_majorizes_embedded(p, q, ctx)
+        assert thermo_majorizes(p, q, ctx, route="all")
+        assert not thermo_majorizes(q, p, ctx, route="all")
+
 
 class TestEmbedding:
     def test_split(self, two_thirds_ctx):
