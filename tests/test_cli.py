@@ -195,6 +195,17 @@ class TestJc:
         header = first.decode().splitlines()[0]
         assert header == "beta_bar,lower,upper,plt_max,jc_beats_plt"
 
+    @pytest.mark.parametrize("argv, golden", [
+        ((), "jc_region_default.csv"),
+        (("--step", "0.04"), "jc_region_step004.csv")])
+    def test_region_csv_matches_golden_file(self, argv, golden, tmp_path):
+        """The sweep's CSV stays byte for byte what it was when these
+        files were written, so that a faster sweep can be checked
+        against it."""
+        assert run("jc-region", *argv, "--out", tmp_path / "r.csv") == 0
+        assert ((tmp_path / "r.csv").read_bytes()
+                == (DATA / golden).read_bytes())
+
     def test_region_thread_env(self, tmp_path, monkeypatch):
         args = ("jc-region", "--beta-min", 0.2, "--beta-max", 1.0,
                 "--step", 0.2, "--out", tmp_path / "r.csv")
