@@ -6,9 +6,9 @@ non-majorizing pair), 2 on I/O or format problems and on usage errors.
 Errors print one machine-parsable line to stderr:
 ``THERMO-OPS-ERROR code=<CODE> msg=<...>``.  Each subcommand declares only
 the options it reads; ``--tol`` is left unset by default, so the library's
-tolerance rule (``core.auto_tol``) decides in both modes.  numpy, the thread
-pool and the exchange model are imported only by the subcommands that use
-them, so the exact subcommands start without numpy.
+tolerance rule (``core.auto_tol``) decides in both modes.  Only ``io`` and
+the error types load with this module; each subcommand imports the modules
+it runs when it runs (numpy only for ``jc-*``, ``simulate``, ``--facets``).
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import os
 import sys
 
 from . import io as tio
-from .birkhoff import decompose, simulate_mean
-from .cone import simplex_coordinates, thermal_cone
 from .core import DomainError, FormatError, ThermoOpsError
-from .majorization import (beta_order, majorization_witness, thermo_majorizes)
-from .synthesis import SynthesisError, synthesize
-from .thermalization import is_thermalisation_of, relax
 
 
 #: most rows ``jc-region`` computes; a finer grid is refused up front
@@ -56,6 +51,7 @@ def _load_pop(path, mode):
 
 
 def _cmd_check_majorization(args) -> int:
+    from .majorization import majorization_witness, thermo_majorizes
     ctx = _load_ctx(args)
     p = _load_pop(args.p, args.mode)
     q = _load_pop(args.q, args.mode)
@@ -72,6 +68,7 @@ def _cmd_check_majorization(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    from .synthesis import SynthesisError, synthesize
     ctx = _load_ctx(args)
     p = _load_pop(args.p, "rational")
     q = _load_pop(args.q, "rational")
@@ -89,6 +86,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .birkhoff import decompose
     ctx = _load_ctx(args)
     T = tio.matrix_from_json(tio.read_json(args.t))
     dec = decompose(T, ctx, args.tol)
@@ -97,6 +95,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .birkhoff import simulate_mean
     dec = tio.decomposition_from_json(tio.read_json(args.dec))
     p = _load_pop(args.p, args.mode)
     mean, exact, sigma = simulate_mean(dec, p, args.samples, args.seed)
@@ -106,6 +105,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_cone(args) -> int:
+    from .cone import simplex_coordinates, thermal_cone
     ctx = _load_ctx(args)
     p = _load_pop(args.p, args.mode)
     cone = thermal_cone(p, ctx, facets=args.facets)
@@ -154,7 +154,6 @@ def _cmd_jc_region(args) -> int:
     import numpy as np
 
     from .jaynes_cummings import region_sweep
-
     grid = np.arange(args.beta_min, args.beta_max + args.step / 2, args.step)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -175,7 +174,6 @@ def _cmd_jc_region(args) -> int:
 
 def _cmd_jc_solve(args) -> int:
     from .jaynes_cummings import NotAchievable, find_s_for_target
-
     result = find_s_for_target(args.target, args.beta_bar, args.tol)
     if isinstance(result, NotAchievable):
         _emit({"achievable": False, "best": result.best,
@@ -186,6 +184,7 @@ def _cmd_jc_solve(args) -> int:
 
 
 def _cmd_relax(args) -> int:
+    from .thermalization import relax
     ctx = _load_ctx(args)
     p = _load_pop(args.p, "float")
     out = relax(p, args.t, args.xi, ctx)
@@ -194,6 +193,8 @@ def _cmd_relax(args) -> int:
 
 
 def _cmd_thermalisation_check(args) -> int:
+    from .majorization import beta_order, majorization_witness
+    from .thermalization import is_thermalisation_of
     ctx = _load_ctx(args)
     p = _load_pop(args.p, args.mode)
     q = _load_pop(args.q, args.mode)

@@ -14,10 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .birkhoff import pull_back
 from .core import (DomainError, GibbsContext, Number, ThermoPermutation,
                    as_values, coerce_exact, has_float)
-from .linprog import in_convex_hull
 from .majorization import (as_number, exact_lorenz, slot_counts,
                            thermo_majorizes)
 
@@ -138,6 +136,8 @@ def hull_check(p, ctx: GibbsContext, samples: int = 500, seed: int = 0,
     random sample beyond that.  Checks every pullback image against
     conv(vertices), and optionally every vertex against conv(images).
     """
+    from .birkhoff import pull_back
+    from .linprog import in_convex_hull
     ctx.require_rational()
     if ctx.D > 12:
         raise DomainError("hull oracle limited to D <= 12")

@@ -18,7 +18,6 @@ from .core import (ConvexDecomposition, FormatError, GibbsContext, Number,
                    Population, StochasticMatrix, ThermoPermutation,
                    as_values, gibbs_context_from_weights, make_gibbs_context,
                    validate_stochastic)
-from .synthesis import EdpSequence
 
 
 def encode_number(v: Number) -> Any:
@@ -179,7 +178,7 @@ def decomposition_from_json(obj: dict) -> ConvexDecomposition:
     return ConvexDecomposition(tuple(terms))
 
 
-def sequence_to_json(seq: EdpSequence) -> dict:
+def sequence_to_json(seq) -> dict:
     return {
         "relabel_in": list(seq.relabel_in),
         "relabel_out": list(seq.relabel_out),

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
-                   auto_tol, coerce_exact, make_edp_step)
+                   auto_tol, coerce_exact, is_detailed_balanced,
+                   make_edp_step, validate_stochastic)
 from .majorization import exact_lorenz, majorization_witness
 
 _ZERO = Fraction(0)
@@ -431,8 +432,6 @@ def verify_sequence(seq: EdpSequence, p, q, ctx: GibbsContext,
                     tol: Number | None = None) -> VerifyReport:
     """Replay the steps and check stochasticity, detailed balance and the
     terminal state; returns diagnostics instead of raising."""
-    from .core import is_detailed_balanced, validate_stochastic
-
     pv = as_values(p)
     qv = as_values(q)
     t = auto_tol(tol, pv, qv, ctx.g)

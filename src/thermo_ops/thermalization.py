@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
                    check_level_pair, make_edp_step)
@@ -50,11 +49,9 @@ def make_plt_step(ctx: GibbsContext, lo: int, hi: int,
 
 
 def _pair_weights(ctx: GibbsContext, lo: int, hi: int):
+    # g holds Fractions in a rational context and floats in a float one
     glo, ghi = ctx.g[lo], ctx.g[hi]
-    total = glo + ghi
-    if isinstance(glo, float) or isinstance(ghi, float):
-        return glo / total, ghi / total
-    return Fraction(glo, total), Fraction(ghi, total)
+    return glo / (glo + ghi), ghi / (glo + ghi)
 
 
 def apply_plt(step: PltStep, x, ctx: GibbsContext) -> tuple[Number, ...]:
@@ -90,11 +87,7 @@ def edp_to_plt(step: EdpStep, ctx: GibbsContext) -> PltStep:
         raise DomainError(
             f"p_down={step.p_down} exceeds the thermalisation bound {cap}; "
             "the step is not Markovian")
-    if isinstance(cap, Fraction) and not isinstance(step.p_down, float):
-        eps = Fraction(step.p_down) / cap
-    else:
-        eps = step.p_down / cap
-    return make_plt_step(ctx, step.lo, step.hi, eps)
+    return make_plt_step(ctx, step.lo, step.hi, step.p_down / cap)
 
 
 def is_markovian_edp(step: EdpStep, ctx: GibbsContext) -> bool:

@@ -7,9 +7,9 @@ import pytest
 from thermo_ops import (DomainError, apply_edp, apply_plt, beta_order,
                         edp_to_plt, gibbs_context_from_weights,
                         is_markovian_edp, is_thermalisation_of,
-                        make_edp_step, make_plt_step, markov_p_down_max,
-                        plt_to_edp, relax, repeated_edp_limit,
-                        thermo_transposition)
+                        make_edp_step, make_gibbs_context, make_plt_step,
+                        markov_p_down_max, plt_to_edp, relax,
+                        repeated_edp_limit, thermo_transposition)
 
 from conftest import rand_ctx, rand_pop, usable_pairs
 
@@ -75,9 +75,28 @@ class TestPlt:
             edp = plt_to_edp(plt, seven_ctx)
             assert is_markovian_edp(edp, seven_ctx)
             back = edp_to_plt(edp, seven_ctx)
-            assert back.epsilon == eps
+            assert back.epsilon == eps and type(back.epsilon) is Fraction
             x = rand_pop(rng, 3)
             assert apply_plt(plt, x, seven_ctx) == apply_edp(edp, x, seven_ctx)
+
+    def test_conversion_round_trip_float_context(self):
+        ctx = make_gibbs_context([0.0, 0.7, 2.5], None)
+        rng = random.Random(6)
+        for _ in range(50):
+            lo, hi = sorted(rng.sample(range(3), 2))
+            eps = rng.choice([F(rng.randint(0, 16), 16), rng.random(), 1])
+            plt = make_plt_step(ctx, lo, hi, eps)
+            edp = plt_to_edp(plt, ctx)
+            assert type(edp.p_down) is float
+            assert type(markov_p_down_max(ctx, lo, hi)) is float
+            assert is_markovian_edp(edp, ctx)
+            back = edp_to_plt(edp, ctx)
+            assert type(back.epsilon) is float
+            assert math.isclose(back.epsilon, eps, rel_tol=1e-15,
+                                abs_tol=1e-300)
+            x = (rng.random(), rng.random(), rng.random())
+            assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(
+                apply_plt(plt, x, ctx), apply_edp(edp, x, ctx)))
 
     def test_non_markovian_rejected(self, two_thirds_ctx):
         t = thermo_transposition(two_thirds_ctx, 0, 1)
