@@ -9,6 +9,7 @@ on its module is what the next caller gets.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -39,7 +40,7 @@ _PUBLIC = {
         j_lower_bound_with_argmax j_probabilities j_upper_bound jc_params
         plt_max region_sweep""",
 }
-_MODULE_OF = {name: module for module, names in _PUBLIC.items()
+_MODULE_OF = {name: f"{__name__}.{module}" for module, names in _PUBLIC.items()
               for name in names.split()}
 __all__ = sorted(_MODULE_OF)
 
@@ -48,7 +49,8 @@ def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    return getattr(sys.modules.get(module) or importlib.import_module(module),
+                   name)
 
 
 def __dir__():

@@ -9,6 +9,8 @@ the options it reads; ``--tol`` is left unset by default, so the library's
 tolerance rule (``core.auto_tol``) decides in both modes.  Only ``io`` and
 the error types load with this module; each subcommand imports the modules
 it runs when it runs (numpy only for ``jc-*``, ``simulate``, ``--facets``).
+``jc-region`` refuses an invalid ``THERMO_OPS_THREADS`` (exit 2); a valid
+value has no effect, as the sweep is one batched search.
 """
 
 from __future__ import annotations
@@ -122,9 +124,8 @@ def _cmd_cone(args) -> int:
     return 0
 
 
-def _thread_count() -> int:
-    """Worker count from THERMO_OPS_THREADS (default 1), capped at the CPU
-    count so a large value cannot start one thread per grid chunk."""
+def _check_thread_env() -> None:
+    """Refuses an invalid THERMO_OPS_THREADS; a valid value is ignored."""
     raw = os.environ.get("THERMO_OPS_THREADS", "1")
     try:
         threads = int(raw)
@@ -133,7 +134,6 @@ def _thread_count() -> int:
     if threads < 1:
         raise FormatError(
             f"THERMO_OPS_THREADS must be a positive integer, got {raw!r}")
-    return min(threads, os.cpu_count() or 1)
 
 
 def _cmd_jc_region(args) -> int:
@@ -150,21 +150,12 @@ def _cmd_jc_region(args) -> int:
         raise DomainError(f"the beta grid would hold more than "
                           f"{MAX_REGION_ROWS} rows (the cap); use a larger "
                           f"--step or a shorter range")
-    threads = _thread_count()
+    _check_thread_env()
     import numpy as np
 
     from .jaynes_cummings import region_sweep
     grid = np.arange(args.beta_min, args.beta_max + args.step / 2, args.step)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(grid, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(region_sweep, chunks))
-        rows = [row for part in parts for row in part]
-    else:
-        rows = region_sweep(grid)
-    text = tio.region_csv_text(rows)
+    text = tio.region_csv_text(region_sweep(grid))
     if args.out:
         tio.write_text_atomic(args.out, text)
     else:

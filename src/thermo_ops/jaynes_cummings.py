@@ -86,8 +86,8 @@ _LOG4_3 = math.log(4.0) / 3.0
 def j_upper_bound(beta_bar: float) -> float:
     """Time-independent cap on the de-exciting probability; the two closed
     forms meet continuously at beta_bar = log(4)/3."""
-    if beta_bar < 0:
-        raise DomainError("beta_bar must be nonnegative")
+    if not 0 <= beta_bar < math.inf:
+        raise DomainError("beta_bar must be nonnegative and finite")
     if beta_bar <= _LOG4_3:
         e = math.exp(beta_bar)
         return (8.0 * math.exp(-beta_bar) - e**2 + e**3 + 8.0) / 16.0
@@ -95,63 +95,65 @@ def j_upper_bound(beta_bar: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _lower_grid() -> tuple[np.ndarray, np.ndarray]:
+def _lower_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = np.arange(0.0, _S_MAX + _S_STEP / 2, _S_STEP)
     roots = np.sqrt(np.arange(1, LOWER_BOUND_TERMS + 1, dtype=np.float64))
     sin2 = np.sin(np.outer(s, roots)) ** 2
-    return s, sin2
+    return s, roots, sin2
 
 
-def _truncated_down(s: float, beta_bar: float) -> float:
-    n = np.arange(1, LOWER_BOUND_TERMS + 1, dtype=np.float64)
-    w = np.exp(-beta_bar * (n - 1))
-    val = (1.0 - math.exp(-beta_bar)) * float(
-        np.dot(np.sin(s * np.sqrt(n)) ** 2, w))
-    return val
+def _lower_bounds(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified floors on the achievable de-exciting probability, and the
+    control times realising them, for a 1-d array of gaps.
+
+    Maximises the truncated sum over a coarse grid augmented with the
+    reference time and pi/2, then refines by golden-section, on every gap at
+    once; any truncated value is a valid lower bound since every dropped
+    term is nonnegative.
+    """
+    if not np.all((beta > 0) & (beta < math.inf)):
+        raise DomainError("beta_bar must be positive and finite")
+    grid, roots, sin2 = _lower_grid()
+    w = np.exp(-np.outer(beta, np.arange(LOWER_BOUND_TERMS)))
+    # math.exp, not np.exp, which can differ in the last bit
+    scale = np.array([1.0 - math.exp(-bb) for bb in beta.tolist()])
+
+    def down(s: np.ndarray) -> np.ndarray:
+        return scale * np.vecdot(np.sin(np.outer(s, roots)) ** 2, w)
+
+    # one grid product per gap: a block of k gaps would hold a 20001 x k
+    # value table, k * 160 KB more peak memory per call
+    best = grid[[np.argmax(sin2 @ row) for row in w]]
+    f_best = down(best)
+    for cand in (LOWER_BOUND_S_REF, math.pi / 2):
+        f_cand = down(np.full(len(beta), cand))
+        better = f_cand > f_best
+        best = np.where(better, cand, best)
+        f_best = np.where(better, f_cand, f_best)
+    a = np.maximum(0.0, best - _S_STEP)
+    b = np.minimum(_S_MAX, best + _S_STEP)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = down(c), down(d)
+    for _ in range(80):
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        fx = down(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    s_star = (a + b) / 2
+    val = down(s_star)
+    worse = val < f_best
+    return np.where(worse, f_best, val), np.where(worse, best, s_star)
 
 
 def j_lower_bound_with_argmax(beta_bar: float) -> tuple[float, float]:
     """Certified floor on the achievable de-exciting probability and the
-    control time realising it.
-
-    Maximises the truncated sum over a coarse grid augmented with the
-    reference time and pi/2, then refines by golden-section; any truncated
-    value is a valid lower bound since every dropped term is nonnegative.
-    """
-    if beta_bar <= 0:
-        raise DomainError("beta_bar must be positive")
-    grid, sin2 = _lower_grid()
-    n = np.arange(1, LOWER_BOUND_TERMS + 1, dtype=np.float64)
-    w = np.exp(-beta_bar * (n - 1))
-    vals = sin2 @ w
-    idx = int(np.argmax(vals))
-    best_s = float(grid[idx])
-    for cand in (LOWER_BOUND_S_REF, math.pi / 2):
-        if _truncated_down(cand, beta_bar) > _truncated_down(best_s, beta_bar):
-            best_s = cand
-    lo = max(0.0, best_s - _S_STEP)
-    hi = min(_S_MAX, best_s + _S_STEP)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    dd = a + phi * (b - a)
-    fc = _truncated_down(c, beta_bar)
-    fd = _truncated_down(dd, beta_bar)
-    for _ in range(80):
-        if fc > fd:
-            b, dd, fd = dd, c, fc
-            c = b - phi * (b - a)
-            fc = _truncated_down(c, beta_bar)
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + phi * (b - a)
-            fd = _truncated_down(dd, beta_bar)
-    s_star = (a + b) / 2
-    val = _truncated_down(s_star, beta_bar)
-    if val < _truncated_down(best_s, beta_bar):
-        s_star = best_s
-        val = _truncated_down(best_s, beta_bar)
-    return val, s_star
+    control time realising it (the search of ``region_sweep`` on one gap)."""
+    val, s = _lower_bounds(np.array([beta_bar], dtype=np.float64))
+    return float(val[0]), float(s[0])
 
 
 def j_lower_bound(beta_bar: float) -> float:
@@ -161,8 +163,8 @@ def j_lower_bound(beta_bar: float) -> float:
 def plt_max(beta_bar: float) -> float:
     """Largest de-exciting probability a partial level thermalisation can
     reach: 1 / (1 + exp(-beta_bar))."""
-    if beta_bar < 0:
-        raise DomainError("beta_bar must be nonnegative")
+    if not 0 <= beta_bar < math.inf:
+        raise DomainError("beta_bar must be nonnegative and finite")
     return 1.0 / (1.0 + math.exp(-beta_bar))
 
 
@@ -177,12 +179,12 @@ class RegionRow:
 
 def region_sweep(beta_grid) -> list[RegionRow]:
     """Achievable-region table over the given gap values."""
+    beta = np.asarray(beta_grid, dtype=np.float64)
+    lower, _ = _lower_bounds(beta)
     rows = []
-    for bb in beta_grid:
-        lo = j_lower_bound(bb)
-        up = j_upper_bound(bb)
+    for bb, lo in zip(beta.tolist(), lower.tolist()):
         pm = plt_max(bb)
-        rows.append(RegionRow(float(bb), lo, up, pm, lo > pm))
+        rows.append(RegionRow(bb, lo, j_upper_bound(bb), pm, lo > pm))
     return rows
 
 
@@ -259,7 +261,8 @@ def beta_bar_from_physical(temperature_k: float, frequency_hz: float,
     ``angular=False`` reads the frequency as an ordinary frequency nu (gap
     h*nu); ``angular=True`` reads it as omega in rad/s (gap hbar*omega).
     """
-    if temperature_k <= 0 or frequency_hz <= 0:
-        raise DomainError("temperature and frequency must be positive")
+    if not (0 < temperature_k < math.inf and 0 < frequency_hz < math.inf):
+        raise DomainError("temperature and frequency must be positive and "
+                          "finite")
     energy = (HBAR if angular else PLANCK_H) * frequency_hz
     return energy / (BOLTZMANN_K * temperature_k)

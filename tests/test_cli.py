@@ -1,5 +1,4 @@
 import json
-import os
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +7,7 @@ import pytest
 
 from thermo_ops import (decompose, gibbs_context_from_weights, make_edp_step,
                         thermo_transposition)
-from thermo_ops.cli import MAX_REGION_ROWS, _thread_count, build_parser, main
+from thermo_ops.cli import MAX_REGION_ROWS, build_parser, main
 from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
@@ -248,16 +247,6 @@ class TestJc:
         assert len(lines) == 1
         assert lines[0].startswith("THERMO-OPS-ERROR code=FORMAT")
         assert not (tmp_path / "r.csv").exists()
-
-    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
-        # only the parsed value is read; no pool is started
-        cpus = os.cpu_count() or 1
-        monkeypatch.setenv("THERMO_OPS_THREADS", str(10**6))
-        assert _thread_count() == cpus
-        monkeypatch.setenv("THERMO_OPS_THREADS", "1")
-        assert _thread_count() == 1
-        monkeypatch.delenv("THERMO_OPS_THREADS")
-        assert _thread_count() == 1
 
     def test_solve(self, capsys):
         assert run("jc-solve", "--target", 0.3, "--beta-bar", 1.0) == 0

@@ -106,6 +106,29 @@ class TestPltComparison:
         assert rows[0].lower >= 1 - math.exp(-0.01)
         assert rows[2].lower > 0.999
 
+    @pytest.mark.parametrize("grid", [
+        np.array([1.6]),
+        np.arange(0.05, 8.0 + 0.025, 0.25),
+        np.arange(0.05, 8.0 + 0.025, 0.245),
+        np.arange(0.05, 8.0 + 0.01, 0.02),
+        np.geomspace(1e-6, 700.0, 300)],
+        ids=["1", "32", "33", "398", "geom300"])
+    def test_batched_search_matches_scalar_reference(self, grid):
+        reference = [_scalar_lower_bound(float(bb)) for bb in grid]
+        assert [row.lower for row in region_sweep(grid)] == [
+            val for val, _ in reference]
+        for bb, expected in list(zip(grid, reference))[::17]:
+            assert j_lower_bound_with_argmax(float(bb)) == expected
+
+    def test_empty_grid(self):
+        assert region_sweep([]) == []
+        assert region_sweep(np.array([])) == []
+
+    @pytest.mark.parametrize("grid", [[0.0], [1.0, -0.5], [1.0, 0.0, 2.0]])
+    def test_nonpositive_gap_rejected(self, grid):
+        with pytest.raises(DomainError):
+            region_sweep(grid)
+
 
 class TestSolve:
     def test_zero_target(self):
@@ -185,6 +208,56 @@ def _full_scan_solve(target, beta_bar, tol=SOLVE_TOL):
         if abs(f(b) - target) <= tol / 2:
             break
     return b
+
+
+def _scalar_lower_bound(beta_bar):
+    """The certified floor and its control time, searched one gap at a time
+    as before the batched search: grid argmax, two candidate times, then 80
+    golden-section steps."""
+    n = np.arange(1, 13, dtype=np.float64)
+    w = np.exp(-beta_bar * (n - 1))
+
+    def f(s):
+        return (1.0 - math.exp(-beta_bar)) * float(
+            np.dot(np.sin(s * np.sqrt(n)) ** 2, w))
+
+    grid = np.arange(0.0, 200.0 + 0.005, 0.01)
+    best_s = float(grid[int(np.argmax(np.sin(np.outer(grid, np.sqrt(n))) ** 2
+                                      @ w))])
+    for cand in (98.92, math.pi / 2):
+        if f(cand) > f(best_s):
+            best_s = cand
+    a, b = max(0.0, best_s - 0.01), min(200.0, best_s + 0.01)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, dd = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c), f(dd)
+    for _ in range(80):
+        if fc > fd:
+            b, dd, fd = dd, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, dd, fd
+            dd = a + phi * (b - a)
+            fd = f(dd)
+    s_star = (a + b) / 2
+    if f(s_star) < f(best_s):
+        return f(best_s), best_s
+    return f(s_star), s_star
+
+
+class TestNonFiniteGaps:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        j_lower_bound_with_argmax, j_lower_bound, j_upper_bound, plt_max,
+        lambda bb: region_sweep([1.0, bb]),
+        lambda bb: beta_bar_from_physical(bb, 1e9),
+        lambda bb: beta_bar_from_physical(300.0, bb)],
+        ids=["lower_argmax", "lower", "upper", "plt_max", "region_sweep",
+             "physical_temperature", "physical_frequency"])
+    def test_rejected(self, call, bad):
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 class TestPhysicalUnits:
