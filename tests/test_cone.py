@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -112,6 +113,39 @@ class TestVertices:
                 for k in perm:
                     cx = cx + ctx.g[k]
                     assert lv.evaluate(cx) == lp.evaluate(cx)
+
+
+# SHA-256 of the vertices over ``pinned_cone_corpus``, as written when the
+# self-check still called cone_membership once per vertex.
+CONE_PIN = ("dbeb77bf2e72e3b1f2343158dd1a410c"
+            "e8cbaaa4fa2f65d84fe968cf6005bdbc")
+
+
+def pinned_cone_corpus():
+    """Sources with n <= 5: exact populations in exact contexts, float
+    populations in exact contexts and float populations in float
+    contexts."""
+    rng = random.Random(1202)
+    for trial in range(150):
+        kind = trial % 3
+        if kind == 2:
+            n = rng.randint(2, 5)
+            ctx = make_gibbs_context(
+                [rng.uniform(0, 3) for _ in range(n)], None)
+        else:
+            ctx = rand_ctx(rng, nmax=5, dmax_total=40, distinct=False)
+        p = rand_pop(rng, ctx.n)
+        if kind:
+            p = tuple(float(v) for v in p)
+        yield ctx, p
+
+
+class TestPinnedVertices:
+    def test_vertices_unchanged(self):
+        lines = [repr(cone_vertices(p, ctx))
+                 for ctx, p in pinned_cone_corpus()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == CONE_PIN
 
 
 class TestHullOracle:

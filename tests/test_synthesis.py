@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -311,6 +312,77 @@ class TestAlignedLoop:
         assert [r.origin for r in seq.provenance] == ["aligned", "aligned"]
         assert [(r.j_ex, r.j_df) for r in seq.provenance] == [(1, 2), (1, 3)]
         assert verify_sequence(seq, p, q, ctx, tol=0).ok
+
+
+# The three exact-small targets (perfbench corpus seeds 14, 24 and 30) that
+# only the greedy strategy reaches: (slot counts d, p, q).
+GREEDY_PAIRS = (
+    ((53, 26, 11, 3),
+     (F(355, 1297), F(2, 1297), F(49, 1297), F(891, 1297)),
+     (F(165, 938), F(40, 469), F(537, 1876), F(849, 1876))),
+    ((11, 7, 57, 2, 15),
+     (F(358, 2163), F(164, 2163), F(748, 2163), F(1, 2163), F(892, 2163)),
+     (F(1119128089950798559559, 15410277116417566310400),
+      F(9605142662231, 183763416711168),
+      F(56922085201950402237606218772889,
+        89323074981825849086661623808000),
+      F(5052370220205702342276306966217,
+        148871791636376415144436039680000),
+      F(599141324923097844267376944727,
+        2938259045454797667324395520000))),
+    ((4, 15, 8, 13, 18, 7),
+     (F(626, 2305), F(139, 461), F(100, 461), F(92, 2305), F(234, 2305),
+      F(158, 2305)),
+     (F(115, 1406), F(112, 703), F(191, 1406), F(331, 703), F(175, 1406),
+      F(39, 1406))),
+)
+
+# SHA-256 of the outputs of ``pinned_synthesis_corpus``, as written when
+# synthesis still ran on Fraction objects.
+SYNTHESIS_PIN = ("d0e69db1578240026745e77bd278028a"
+                 "28151ec41249220502c05fdd3fe1e60a")
+
+
+def pinned_synthesis_corpus():
+    """Criterion-3-style pairs with n <= 6 (elementary and partial-
+    thermalisation images, thermal mixtures and unrelated targets), then
+    the greedy-only pairs: (ctx, p, q, group)."""
+    rng = random.Random(1101)
+    for trial in range(400):
+        ctx = rand_ctx(rng, nmax=6, dmax_total=60)
+        p = rand_pop(rng, ctx.n)
+        kind = trial % 4
+        if kind == 0:
+            q = rand_edp_image(rng, p, ctx, rng.randint(1, 12))
+        elif kind == 1:
+            q = rand_plt_image(rng, p, ctx, rng.randint(1, 12))
+        elif kind == 2:
+            w = F(rng.randint(0, 64), 64)
+            q = tuple(w * pi + (1 - w) * gi for pi, gi in zip(p, ctx.g))
+        else:
+            q = rand_pop(rng, ctx.n)
+        yield ctx, p, q, bool(trial % 3)
+    for d, p, q in GREEDY_PAIRS:
+        yield gibbs_context_from_weights([F(di, sum(d)) for di in d]), p, q, \
+            True
+
+
+class TestPinnedOutputs:
+    def test_synthesis_outputs_unchanged(self):
+        """Every sequence, provenance record and refusal over the corpus
+        stays what it was, bit for bit."""
+        lines, origins = [], set()
+        for ctx, p, q, group in pinned_synthesis_corpus():
+            try:
+                seq = synthesize(p, q, ctx, group=group)
+            except SynthesisError as exc:
+                lines.append(repr((str(exc), exc.witness)))
+                continue
+            origins.update(r.origin for r in seq.provenance)
+            lines.append(repr(seq))
+        assert origins == {"aligned", "phase", "transit", "greedy"}
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == SYNTHESIS_PIN
 
 
 class TestVerifySequence:
