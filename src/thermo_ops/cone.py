@@ -16,8 +16,9 @@ from typing import Sequence
 
 from .core import (DomainError, GibbsContext, Number, ThermoPermutation,
                    as_values, coerce_exact, has_float)
-from .majorization import (as_number, exact_lorenz, slot_counts,
-                           thermo_majorizes)
+from .majorization import (ExactLorenz, _abs_majorize, _blocks_majorize,
+                           _ratio_keys, as_number, exact_lorenz,
+                           lorenz_violation, slot_counts, thermo_majorizes)
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,37 @@ def cone_membership(p, q, ctx: GibbsContext, tol: Number | None = None) -> bool:
     return thermo_majorizes(p, q, ctx, tol, route="all")
 
 
+class _SelfCheck:
+    """The source's side of the three majorisation routes, built once: its
+    curve, ratio keys and blocks, all over ``curve.scale * curve.lam``, the
+    denominator of the vertex numerators that ``admits`` takes."""
+
+    def __init__(self, curve: ExactLorenz, d):
+        lam = curve.lam
+        nums = [v * lam for v in curve.nums]
+        self.d, self.lam, self.scale = d, lam, curve.scale * lam
+        self.total = sum(nums)
+        self.curve = ExactLorenz(nums, self.scale, d)
+        self.keys = _ratio_keys(nums, d, lam)
+        self.blocks = tuple(zip(self.keys, d))
+
+    def admits(self, v) -> bool:
+        """Whether the source thermo-majorizes the numerators v, exactly:
+        equal sums, and the curve, abs and embedded routes all with zero
+        slack.  Routes that disagree are a DomainError."""
+        if sum(v) != self.total:
+            return False
+        d = self.d
+        curve = ExactLorenz(v, self.scale, d)
+        keys = _ratio_keys(v, d, self.lam)
+        verdicts = {lorenz_violation(self.curve, curve) is None,
+                    _abs_majorize(self.keys, keys, d, 0),
+                    _blocks_majorize(self.blocks, tuple(zip(keys, d)), 0)}
+        if len(verdicts) != 1:
+            raise DomainError("majorisation routes disagree")
+        return verdicts.pop()
+
+
 def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
     """Beta-order saturation points: for each level ordering, read the
     source curve at that ordering's cumulative-weight grid.
@@ -40,8 +72,9 @@ def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
     The curve is the integer one, read in slots, so a grid point's value is
     a numerator over one common denominator and depends only on its
     cumulative slot count: each is read once, and vertices are deduplicated
-    exactly.  Entries are Fractions, or floats when an input number is one.
-    Every vertex is then checked to lie in the cone (all three routes).
+    exactly.  Every vertex is checked to lie in the cone on those
+    numerators, before rounding (all three routes, zero slack).  Entries
+    are Fractions, or floats when an input number is one.
     """
     pv = as_values(p)
     n = ctx.n
@@ -65,14 +98,14 @@ def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
         if vt not in seen:
             seen.add(vt)
             out.append(vt)
+    check = _SelfCheck(curve, steps)
+    for vt in out:
+        if not check.admits(vt):
+            raise DomainError("internal: vertex escapes the cone")
     denom = curve.scale * curve.lam
     inexact = has_float(pv, ctx.g)
     number = {v: as_number(v, denom, inexact) for vt in out for v in vt}
-    out = [tuple(number[v] for v in vt) for vt in out]
-    for v in out:
-        if not cone_membership(pv, v, ctx):
-            raise DomainError("internal: vertex escapes the cone")
-    return tuple(out)
+    return tuple(tuple(number[v] for v in vt) for vt in out)
 
 
 def _tables(row_sums: Sequence[int], col_sums: Sequence[int]):

@@ -260,9 +260,14 @@ def beta_bar_from_physical(temperature_k: float, frequency_hz: float,
 
     ``angular=False`` reads the frequency as an ordinary frequency nu (gap
     h*nu); ``angular=True`` reads it as omega in rad/s (gap hbar*omega).
+    A gap that overflows or underflows the float range is a DomainError.
     """
     if not (0 < temperature_k < math.inf and 0 < frequency_hz < math.inf):
         raise DomainError("temperature and frequency must be positive and "
                           "finite")
     energy = (HBAR if angular else PLANCK_H) * frequency_hz
-    return energy / (BOLTZMANN_K * temperature_k)
+    gap = energy / (BOLTZMANN_K * temperature_k)
+    if not 0 < gap < math.inf:
+        raise DomainError("the dimensionless gap of this temperature and "
+                          "frequency is out of the float range")
+    return gap

@@ -94,14 +94,16 @@ def beta_order(p, ctx: GibbsContext) -> BetaOrder:
 class ExactLorenz:
     """Lorenz curve of a population in integer units.
 
-    ``order`` is the beta-order, ``xs[k]`` the slot count of its first k
-    levels and ``ys[k]`` their occupation in units of ``1/scale``; the
-    curve runs from (0, 0) to (sum of d, norm * scale).  ``lam`` is lcm(d).
+    ``nums`` are the occupations in units of ``1/scale``, ``order`` is the
+    beta-order, ``xs[k]`` the slot count of its first k levels and ``ys[k]``
+    their occupation; the curve runs from (0, 0) to (sum of d,
+    norm * scale).  ``lam`` is lcm(d).
     """
 
-    __slots__ = ("order", "xs", "ys", "scale", "lam")
+    __slots__ = ("nums", "order", "xs", "ys", "scale", "lam")
 
     def __init__(self, nums: Sequence[int], scale: int, d: Sequence[int]):
+        self.nums = nums
         self.lam = math.lcm(*d)
         keys = _ratio_keys(nums, d, self.lam)
         self.order = tuple(sorted(range(len(nums)),
@@ -233,14 +235,19 @@ def majorization_witness(p, q, ctx: GibbsContext,
     exact value, rounded once."""
     pv, qv = as_values(p), as_values(q)
     lp, lq, slack = _curves(pv, qv, ctx, tol)
-    hit = lorenz_violation(lp, lq, slack)
+    return _witness(lorenz_violation(lp, lq, slack), lp.scale, ctx,
+                    has_float(pv, qv, ctx.g))
+
+
+def _witness(hit, scale: int, ctx: GibbsContext, inexact: bool):
+    """A ``lorenz_violation`` hit of two curves over ``scale`` as the
+    witness (x, L_p(x), L_q(x)), or None for no hit."""
     if hit is None:
         return None
     x, pn, pd, qn, qd = hit
-    inexact = has_float(pv, qv, ctx.g)
     return (as_number(x, slot_counts(ctx)[1], not ctx.rational),
-            as_number(pn, pd * lp.scale, inexact),
-            as_number(qn, qd * lq.scale, inexact))
+            as_number(pn, pd * scale, inexact),
+            as_number(qn, qd * scale, inexact))
 
 
 def thermo_majorizes_abs(p, q, ctx: GibbsContext,
@@ -260,6 +267,12 @@ def thermo_majorizes_abs(p, q, ctx: GibbsContext,
     if slack:
         slack = 2 * slack - sum(dj * (sj - rj)
                                 for dj, sj, rj in zip(d, s, r))
+    return _abs_majorize(r, s, d, slack)
+
+
+def _abs_majorize(r, s, d, slack: int) -> bool:
+    """The absolute-deviation sums of ratio keys r (source) and s (target)
+    with slot counts d, compared at every kink within an integer slack."""
     for k in {0, *r, *s}:
         lhs = sum(dj * abs(sj - k) for dj, sj in zip(d, s))
         rhs = sum(dj * abs(rj - k) for dj, rj in zip(d, r))

@@ -22,14 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
                    auto_tol, coerce_exact, is_detailed_balanced,
                    make_edp_step, validate_stochastic)
-from .majorization import exact_lorenz, majorization_witness
-
-_ZERO = Fraction(0)
+from .majorization import ExactLorenz, _curves, _witness, lorenz_violation
 
 
 class SynthesisError(DomainError):
@@ -98,60 +95,69 @@ def compose_edps_same_pair(a: EdpStep, b: EdpStep,
 
 
 # --------------------------------------------------------------------------
-# internal exact machinery (rational mode only); ``target`` is the integer
-# Lorenz curve of q from the majorisation kernel
+# internal exact machinery (rational mode only).  A strategy's state and the
+# target are integer numerators over one scale, and every mass a strategy
+# moves is counted in units of that scale's reciprocal: an int, or a
+# Fraction when a feasibility cap or a dominance-cap root brings a new
+# denominator, and then the state is rescaled before the move.  ``target``
+# is the integer Lorenz curve of q from the majorisation kernel.
 
-def _feas_cap(x, g, a, b):
-    """Largest net mass one step can move from a to b (needs r_a > r_b)."""
-    return min(g[a], g[b]) * (x[a] / g[a] - x[b] / g[b])
+def _feas_cap(x, d, a, b):
+    """Largest net mass one step can move from a to b (needs r_a > r_b),
+    in the units of the numerators x: min(g_a, g_b) (x_a/g_a - x_b/g_b)
+    with g = d/D."""
+    da, db = d[a], d[b]
+    return Fraction(min(da, db) * (x[a] * db - x[b] * da), da * db)
 
 
-def _dominance_cap(x, ctx, target, g, a, b, delta_hi):
-    """delta_hi when the shifted state (x - d e_a + d e_b) at d = delta_hi
-    thermo-majorises the target; otherwise the largest d such that every
-    shifted state on [0, d] does.
+def _dominance_cap(x, scale, d, target, q_at, a, b, delta_hi):
+    """delta_hi when the shifted state (x - m e_a + m e_b) at m = delta_hi
+    thermo-majorises the target; otherwise the largest m such that every
+    shifted state on [0, m] does.  x are numerators over ``scale``, the
+    masses m are in units of ``1/scale``, d are the slot counts and ``q_at``
+    holds the target's values at its own elbows (``target.at``).
 
-    Between ratio-crossing values of d the beta-order is fixed, so the slack
-    of the shifted curve over the target at each target elbow is affine in d
-    and the binding d is a root of the line through the slacks at the two
+    Between ratio-crossing values of m the beta-order is fixed, so the slack
+    of the shifted curve over the target at each target elbow is affine in m
+    and the binding m is a root of the line through the slacks at the two
     ends of one regime.  Checking the target elbows suffices: between them
     the shifted curve is concave and the target linear.
     """
     n = len(x)
-    q_at = [target.at(c) for c in target.xs]
+    tscale = target.scale
 
-    def shifted(d):
-        y = list(x)
-        y[a] -= d
-        y[b] += d
-        return y
-
-    def slack(d):
-        """Slacks at the target elbows as integers over ``y.scale`` (times
-        the factor ``target.scale * lam`` shared by every d), and
-        ``y.scale``."""
-        y = exact_lorenz(shifted(d), ctx)
-        return ([y.at(c) * target.scale - v * y.scale
-                 for c, v in zip(target.xs, q_at)], y.scale)
+    def slack(delta):
+        """Slacks at the target elbows as integers over a denominator whose
+        only delta-dependent factor is delta's denominator, and that
+        factor."""
+        num, den = delta.numerator, delta.denominator
+        y = [v * den for v in x]
+        y[a] -= num
+        y[b] += num
+        unit = scale * den
+        curve = ExactLorenz(y, unit, d)
+        return ([curve.at(c) * tscale - v * unit
+                 for c, v in zip(target.xs, q_at)], den)
 
     s_hi, k_hi = slack(delta_hi)
     if min(s_hi) >= 0:
         return delta_hi
+    hi_num, hi_den = delta_hi.numerator, delta_hi.denominator
     crits = set()
     for j in range(n):
-        for i, s in ((a, Fraction(-1)), (b, Fraction(1))):
+        for i, s in ((a, -1), (b, 1)):
             if j == i:
                 continue
-            sj = Fraction(-1) if j == a else (Fraction(1) if j == b else _ZERO)
-            num = x[j] * g[i] - x[i] * g[j]
-            den = s * g[j] - sj * g[i]
-            if den != 0:
-                d = num / den
-                if 0 < d < delta_hi:
-                    crits.add(d)
-    grid = [_ZERO] + sorted(crits) + [delta_hi]
-    best = _ZERO
-    s0, k0 = slack(_ZERO)
+            sj = -1 if j == a else (1 if j == b else 0)
+            num = x[j] * d[i] - x[i] * d[j]
+            den = s * d[j] - sj * d[i]
+            if den < 0:
+                num, den = -num, -den
+            if den and 0 < num and num * hi_den < hi_num * den:
+                crits.add(Fraction(num, den))
+    grid = [0] + sorted(crits) + [delta_hi]
+    best = 0
+    s0, k0 = slack(0)
     for d0, d1 in zip(grid, grid[1:]):
         if min(s0) < 0:
             break
@@ -167,36 +173,35 @@ def _dominance_cap(x, ctx, target, g, a, b, delta_hi):
     return best
 
 
-def _slot_positions(x, ctx, a, b):
-    """(tail slot of a's block, head slot of b's block), 1-based, in the
-    current beta-sorted embedding."""
-    curve = exact_lorenz(x, ctx)
-    rank = curve.order.index
-    return curve.xs[rank(a) + 1], curve.xs[rank(b)] + 1
-
-
 class _Unreachable(Exception):
     pass
 
 
-def _synth_aligned(p, q, d, order, order_q):
+def _synth_aligned(P, Q, scale, d, order, order_q):
     """Classical transfer loop on the level vector for beta-aligned pairs
-    (beta-orders ``order`` of p and ``order_q`` of q); see module docstring."""
+    (numerators P and Q over ``scale``, beta-orders ``order`` of p and
+    ``order_q`` of q); see module docstring.
+
+    Over ``scale * lcm(d)`` every per-slot excess (p_i - q_i)/d_i and every
+    slot value is an integer, so the whole run stays on that one scale."""
     if order_q != order:
         raise _Unreachable("pair is not beta-aligned")
+    lam = math.lcm(*d)
+    unit = scale * lam
+    x = [v * lam for v in P]
+    q = [v * lam for v in Q]
+    e = [(xi - qi) // di for xi, qi, di in zip(x, q, d)]
     offset, start = {}, 0
     for i in order:
         offset[i], start = start, start + d[i]
-    x = list(p)
 
     def active(i):
         """(1-based slot, value, gap to target) of the slot level i moves
         next, given that c of its d[i] slots are still off target."""
-        e = (p[i] - q[i]) / d[i]
-        c = math.ceil((x[i] - q[i]) / e)
-        gap = x[i] - q[i] - (c - 1) * e
-        slot = offset[i] + (c if e > 0 else d[i] - c + 1)
-        return slot, q[i] / d[i] + gap, gap
+        c = -((q[i] - x[i]) // e[i])
+        gap = x[i] - q[i] - (c - 1) * e[i]
+        slot = offset[i] + (c if e[i] > 0 else d[i] - c + 1)
+        return slot, q[i] // d[i] + gap, gap
 
     transfers = []
     while x != q:
@@ -207,111 +212,158 @@ def _synth_aligned(p, q, d, order, order_q):
             raise _Unreachable("no deficit slot after the last excess slot")
         (j_ex, u_ex, gap_ex), (j_df, u_df, gap_df) = active(a), active(b)
         delta = min(gap_ex, -gap_df)
-        lam = 1 - delta / (u_ex - u_df)
+        spread = u_ex - u_df
         x[a] -= delta
         x[b] += delta
-        transfers.append((a, b, delta, j_ex, j_df, lam, "aligned"))
+        transfers.append((a, b, Fraction(delta, unit), j_ex, j_df,
+                          Fraction(spread - delta, spread), "aligned"))
     return transfers
 
 
-def _run_phases(p, q, g, ctx, phase_levels, asc, target):
+class _Run:
+    """The state of one phase or greedy run: the populations ``x`` and the
+    target ``q`` as integer numerators over ``scale``, and the transfers so
+    far.  ``target`` is q's integer curve and ``q_at`` its values at its
+    elbows; ``w[i] = lcm(d)/d_i`` turns a numerator into a ratio key."""
+
+    def __init__(self, P, Q, scale, d, target, q_at):
+        self.x, self.q, self.scale = list(P), list(Q), scale
+        self.d, self.target, self.q_at = d, target, q_at
+        lam = math.lcm(*d)
+        self.w = [lam // di for di in d]
+        self.transfers = []
+
+    def key(self, i):
+        """An integer proportional to the ratio x_i/g_i."""
+        return self.x[i] * self.w[i]
+
+    def feas_cap(self, a, b):
+        return _feas_cap(self.x, self.d, a, b)
+
+    def dominance_cap(self, a, b, delta):
+        return _dominance_cap(self.x, self.scale, self.d, self.target,
+                              self.q_at, a, b, delta)
+
+    def move(self, a, b, delta, origin):
+        """Record and make the transfer of delta (units of ``1/scale``)
+        from a to b, first rescaling by delta's denominator when it has
+        one; the scale is then reduced by the common factor."""
+        curve = ExactLorenz(self.x, self.scale, self.d)
+        rank = curve.order.index
+        j_ex, j_df = curve.xs[rank(a) + 1], curve.xs[rank(b)] + 1
+        k, delta = delta.denominator, delta.numerator
+        if k != 1:
+            self.x = [v * k for v in self.x]
+            self.q = [v * k for v in self.q]
+            self.scale *= k
+        self.x[a] -= delta
+        self.x[b] += delta
+        self.transfers.append((a, b, Fraction(delta, self.scale), j_ex,
+                               j_df, None, origin))
+        if k != 1:
+            common = math.gcd(self.scale, *self.x, *self.q)
+            if common != 1:
+                self.x = [v // common for v in self.x]
+                self.q = [v // common for v in self.q]
+                self.scale //= common
+
+
+def _run_phases(run, phase_levels, asc):
     """Settle one level at a time to its exact target, moving mass only
     between unsettled levels; transit boosts reroute mass through middle
     levels when direct pipes are too narrow."""
-    n = len(p)
-    x = list(p)
-    transfers = []
+    n = len(run.x)
+    d = run.d
+    key = run.key
     fixed = set()
 
-    def ratio(i):
-        return x[i] / g[i]
-
     def try_xfer(a, b, delta, origin):
-        """Move up to delta from a to b (ratio(a) > ratio(b)), capped so the
-        state keeps thermo-majorising the target; returns the mass moved."""
+        """Move up to delta from a to b (key(a) > key(b)), capped so the
+        state keeps thermo-majorising the target; whether it moved any."""
         if delta <= 0:
-            return _ZERO
-        delta = _dominance_cap(x, ctx, target, g, a, b, delta)
+            return False
+        delta = run.dominance_cap(a, b, delta)
         if delta <= 0:
-            return _ZERO
-        j_ex, j_df = _slot_positions(x, ctx, a, b)
-        x[a] -= delta
-        x[b] += delta
-        transfers.append((a, b, delta, j_ex, j_df, None, origin))
-        return delta
+            return False
+        run.move(a, b, delta, origin)
+        return True
 
     for b in phase_levels:
         rounds = 0
-        while x[b] != q[b]:
+        while run.x[b] != run.q[b]:
             rounds += 1
             if rounds > 120:
                 raise _Unreachable(f"phase for level {b} did not converge")
             progressed = False
-            filling = q[b] > x[b]
+            filling = run.q[b] > run.x[b]
             partners = sorted((i for i in range(n) if i not in fixed and i != b),
-                              key=ratio, reverse=not asc)
+                              key=key, reverse=not asc)
             for a in partners:
-                need = q[b] - x[b]
+                need = run.q[b] - run.x[b]
                 if need == 0:
                     break
                 src, dst = (a, b) if filling else (b, a)
-                if g[a] != g[b] and ratio(src) > ratio(dst):
-                    delta = min(abs(need), _feas_cap(x, g, src, dst))
-                    if try_xfer(src, dst, delta, "phase") > 0:
+                if d[a] != d[b] and key(src) > key(dst):
+                    delta = min(abs(need), run.feas_cap(src, dst))
+                    if try_xfer(src, dst, delta, "phase"):
                         progressed = True
-            if x[b] != q[b] and not progressed:
+            if run.x[b] != run.q[b] and not progressed:
                 # transit: move mass between two other levels so that a
                 # pipe from or to b opens up in the next round
                 ps = sorted((i for i in range(n) if i not in fixed and i != b),
-                            key=ratio)
+                            key=key)
                 for lo in ps:
                     src, dst = (lo, b) if filling else (b, lo)
-                    if ratio(src) <= ratio(dst):
+                    if key(src) <= key(dst):
                         continue
                     for hi in reversed(ps):
-                        if hi == lo or g[hi] == g[lo]:
+                        if hi == lo or d[hi] == d[lo]:
                             continue
                         src, dst = (hi, lo) if filling else (lo, hi)
-                        if ratio(src) > ratio(dst) and try_xfer(
-                                src, dst, _feas_cap(x, g, src, dst),
-                                "transit") > 0:
+                        if key(src) > key(dst) and try_xfer(
+                                src, dst, run.feas_cap(src, dst), "transit"):
                             progressed = True
                             break
                     if progressed:
                         break
-            if x[b] != q[b] and not progressed:
+            if run.x[b] != run.q[b] and not progressed:
                 raise _Unreachable(f"no admissible transfer for level {b}")
         fixed.add(b)
-    if x != list(q):
+    if run.x != run.q:
         raise _Unreachable("phases ended away from the target")
-    return transfers
+    return run.transfers
 
 
-def _greedy_balanced(p, q, g, ctx, target):
+def _greedy_balanced(run):
     """Fallback: snap-preferring greedy over all ratio-directional pairs."""
-    n = len(p)
-    x = list(p)
-    transfers = []
-    while x != list(q):
-        if len(transfers) > 8 * n * n:
+    n = len(run.x)
+    d = run.d
+    while run.x != run.q:
+        if len(run.transfers) > 8 * n * n:
             raise _Unreachable("greedy step limit reached")
+        x, q, scale = run.x, run.q, run.scale
         best = None
         for a in range(n):
             for b in range(n):
-                if a == b or g[a] == g[b]:
+                if a == b or d[a] == d[b]:
                     continue
-                if x[a] / g[a] <= x[b] / g[b]:
+                if run.key(a) <= run.key(b):
                     continue
-                over_a = max(_ZERO, x[a] - q[a])
-                under_b = max(_ZERO, q[b] - x[b])
+                over_a = max(0, x[a] - q[a])
+                under_b = max(0, q[b] - x[b])
                 if over_a == 0 and under_b == 0:
                     continue
-                fc = _feas_cap(x, g, a, b)
-                for delta in {min(over_a, fc), min(under_b, fc),
-                              min(max(over_a, under_b), fc)}:
+                fc = run.feas_cap(a, b)
+                # the candidates go through a set of their masses: the
+                # first of equal scores wins, and a set's order follows the
+                # masses' values
+                for mass in {Fraction(v, scale) for v in (
+                        min(over_a, fc), min(under_b, fc),
+                        min(max(over_a, under_b), fc))}:
+                    delta = mass * scale
                     if delta <= 0:
                         continue
-                    delta = _dominance_cap(x, ctx, target, g, a, b, delta)
+                    delta = run.dominance_cap(a, b, delta)
                     if delta <= 0:
                         continue
                     y = list(x)
@@ -328,11 +380,8 @@ def _greedy_balanced(p, q, g, ctx, target):
         if best is None:
             raise _Unreachable("no admissible greedy transfer")
         _, a, b, delta = best
-        j_ex, j_df = _slot_positions(x, ctx, a, b)
-        x[a] -= delta
-        x[b] += delta
-        transfers.append((a, b, delta, j_ex, j_df, None, "greedy"))
-    return transfers
+        run.move(a, b, delta, "greedy")
+    return run.transfers
 
 
 def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
@@ -349,27 +398,30 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
     qv = coerce_exact(as_values(q), "q")
     if len(pv) != ctx.n or len(qv) != ctx.n:
         raise DomainError("population and context dimensions differ")
-    g = [Fraction(v) for v in ctx.g]
-    witness = majorization_witness(pv, qv, ctx)
+    source, target, _ = _curves(pv, qv, ctx, None)
+    witness = _witness(lorenz_violation(source, target), source.scale, ctx,
+                       False)
     if witness is not None:
         raise SynthesisError(
             f"p does not thermo-majorize q; violated elbow at x={witness[0]}"
             f" (L_p={witness[1]} < L_q={witness[2]})", witness=witness)
 
-    target = exact_lorenz(qv, ctx)
-    relabel_in = exact_lorenz(pv, ctx).order
-    relabel_out = target.order
+    relabel_in, relabel_out = source.order, target.order
     if pv == qv:
         return EdpSequence((), (), relabel_in, relabel_out)
 
+    P, Q, scale, d = source.nums, target.nums, source.scale, ctx.d
+    q_at = [target.at(c) for c in target.xs]
+
+    def run():
+        return _Run(P, Q, scale, d, target, q_at)
+
     tau = relabel_out
-    attempts = [lambda: _synth_aligned(pv, qv, ctx.d, relabel_in, tau)]
+    attempts = [lambda: _synth_aligned(P, Q, scale, d, relabel_in, tau)]
     for asc in (True, False):
-        attempts.append(lambda a=asc: _run_phases(
-            pv, qv, g, ctx, list(tau[:-1]), a, target))
-        attempts.append(lambda a=asc: _run_phases(
-            pv, qv, g, ctx, list(tau[1:][::-1]), a, target))
-    attempts.append(lambda: _greedy_balanced(pv, qv, g, ctx, target))
+        attempts.append(lambda a=asc: _run_phases(run(), tau[:-1], a))
+        attempts.append(lambda a=asc: _run_phases(run(), tau[1:][::-1], a))
+    attempts.append(lambda: _greedy_balanced(run()))
 
     transfers = None
     for attempt in attempts:
@@ -389,23 +441,25 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
             f"internal: produced {len(transfers)} steps, above the D={ctx.D} "
             "bound")
 
-    # transfers -> validated steps with provenance
-    x = list(pv)
+    # transfers -> validated steps with provenance, replayed on integers
+    # over one scale that holds every transfer's mass
+    unit = math.lcm(scale, *(t[2].denominator for t in transfers))
+    x = [v * (unit // scale) for v in P]
     raw_steps: list[EdpStep] = []
     records: list[StepRecord] = []
     for a, b, delta, j_ex, j_df, lam, origin in transfers:
-        lo, hi = (a, b) if g[a] > g[b] else (b, a)
-        cap = _feas_cap(x, g, a, b)
-        p_down = Fraction(delta) / cap
+        lo, hi = (a, b) if d[a] > d[b] else (b, a)
+        mass = delta.numerator * (unit // delta.denominator)
+        # mass / _feas_cap, with the cap over ``unit``
+        p_down = Fraction(mass * d[lo], x[a] * d[b] - x[b] * d[a])
         step = make_edp_step(ctx, lo, hi, p_down)
         if lam is None:
             lam = 1 - p_down
         raw_steps.append(step)
-        records.append(StepRecord(lo, hi, Fraction(delta), j_ex, j_df,
-                                  Fraction(lam), origin))
-        x[a] -= delta
-        x[b] += delta
-    if x != qv:
+        records.append(StepRecord(lo, hi, delta, j_ex, j_df, lam, origin))
+        x[a] -= mass
+        x[b] += mass
+    if x != [v * (unit // scale) for v in Q]:
         raise SynthesisError("internal: replay of the found sequence failed")
 
     steps: list[EdpStep] = []

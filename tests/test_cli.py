@@ -7,7 +7,8 @@ import pytest
 
 from thermo_ops import (decompose, gibbs_context_from_weights, make_edp_step,
                         thermo_transposition)
-from thermo_ops.cli import MAX_REGION_ROWS, build_parser, main
+from thermo_ops.cli import (MAX_CONE_LEVELS, MAX_REGION_ROWS,
+                            build_parser, main)
 from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
@@ -181,6 +182,21 @@ class TestCone:
         assert cone["facets"]
         lines = (tmp_path / "tern.csv").read_text().splitlines()
         assert lines[0] == "x,y" and len(lines) == len(cone["vertices"]) + 1
+
+    def test_levels_over_cap_is_domain_error(self, tmp_path, capsys):
+        """One level above the cap is refused before the n! walk."""
+        n = MAX_CONE_LEVELS + 1
+        D = n * (n + 1) // 2
+        ctx = gibbs_context_from_weights([F(i, D) for i in range(1, n + 1)])
+        write_json_atomic(tmp_path / "ctx.json", context_to_json(ctx))
+        write_json_atomic(tmp_path / "p.json",
+                          population_to_json((F(1),) + (F(0),) * (n - 1)))
+        t0 = time.perf_counter()
+        assert run("cone", "--p", tmp_path / "p.json",
+                   "--ctx", tmp_path / "ctx.json") == 1
+        assert time.perf_counter() - t0 < 1.0
+        line = assert_one_error(capsys, "DOMAIN")
+        assert str(MAX_CONE_LEVELS) in line
 
 
 class TestJc:

@@ -2,10 +2,15 @@ import hashlib
 import random
 from fractions import Fraction
 
-from thermo_ops import (cone_membership, cone_vertices, hull_check,
-                        hull_facets, make_gibbs_context, pull_back,
-                        simplex_coordinates, thermal_cone, thermo_majorizes)
+import pytest
+
+from thermo_ops import (DomainError, cone_membership, cone_vertices,
+                        hull_check, hull_facets, make_gibbs_context,
+                        pull_back, simplex_coordinates, thermal_cone,
+                        thermo_majorizes)
+from thermo_ops.cone import _SelfCheck
 from thermo_ops.linprog import in_convex_hull
+from thermo_ops.majorization import ExactLorenz, exact_lorenz
 
 from conftest import rand_ctx, rand_pop
 
@@ -146,6 +151,53 @@ class TestPinnedVertices:
                  for ctx, p in pinned_cone_corpus()]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == CONE_PIN
+
+
+class TestSelfCheck:
+    """The integer self-check of cone_vertices against cone_membership."""
+
+    def test_verdict_matches_cone_membership(self):
+        rng = random.Random(1303)
+        admitted = refused = 0
+        for _ in range(60):
+            ctx = rand_ctx(rng, nmax=5, dmax_total=30, distinct=False)
+            p = rand_pop(rng, ctx.n)
+            curve = exact_lorenz(p, ctx)
+            check = _SelfCheck(curve, ctx.d)
+            denom = curve.scale * curve.lam
+            for vertex in cone_vertices(p, ctx):
+                nums = [v * denom for v in vertex]
+                assert all(v.denominator == 1 for v in nums)
+                nums = [int(v) for v in nums]
+                # the vertex itself, and a point one step of mass away
+                i, j = rng.sample(range(ctx.n), 2)
+                moved = list(nums)
+                step = min(moved[i], rng.randint(1, denom))
+                moved[i] -= step
+                moved[j] += step
+                for point in (nums, moved):
+                    verdict = check.admits(point)
+                    assert verdict == cone_membership(
+                        p, tuple(F(v, denom) for v in point), ctx)
+                    admitted += verdict
+                    refused += not verdict
+                # one unit of mass more or less is never in the cone
+                for unit in (1, -1):
+                    moved[i] += unit
+                    assert not check.admits(moved)
+                    moved[i] -= unit
+        assert refused >= 500 and admitted >= 1000
+
+    def test_corrupted_vertex_is_refused(self, monkeypatch, seven_ctx):
+        """A vertex read one unit above the source curve escapes the cone
+        and is refused."""
+        at = ExactLorenz.at
+        monkeypatch.setattr(
+            ExactLorenz, "at",
+            lambda self, x: at(self, x) + (0 < x < self.xs[-1]))
+        with pytest.raises(DomainError,
+                           match="internal: vertex escapes the cone"):
+            cone_vertices((F(1, 5), F(3, 5), F(1, 5)), seven_ctx)
 
 
 class TestHullOracle:

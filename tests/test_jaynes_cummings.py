@@ -272,3 +272,10 @@ class TestPhysicalUnits:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             beta_bar_from_physical(-1.0, 1e10)
+
+    @pytest.mark.parametrize("temperature, frequency",
+                             [(1e-300, 1e300), (1e300, 1e-300)],
+                             ids=["overflow", "underflow"])
+    def test_rejects_gap_out_of_float_range(self, temperature, frequency):
+        with pytest.raises(DomainError):
+            beta_bar_from_physical(temperature, frequency)

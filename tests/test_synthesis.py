@@ -10,7 +10,7 @@ from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         is_detailed_balanced, make_edp_step, synthesize,
                         thermo_majorizes, thermo_transposition,
                         validate_stochastic, verify_sequence)
-from thermo_ops.majorization import exact_lorenz
+from thermo_ops.majorization import _scaled, exact_lorenz
 from thermo_ops.synthesis import _dominance_cap, _feas_cap, _synth_aligned
 
 from conftest import rand_ctx, rand_edp_image, rand_plt_image, rand_pop
@@ -128,9 +128,10 @@ class TestSynthesize:
             synthesize(p, q, ctx)
 
     def test_unreachable_regression_tight_budget(self):
-        # strict majorization is not sufficient: the bottom-window budget of
-        # this instance cannot pay for any level to descend to the target
-        # floor, so no elementary sequence exists.
+        # strict majorization is not enough for the search: the bottom-
+        # window budget of this instance cannot pay for any level to descend
+        # to the target floor, and every strategy gives up.  That is an
+        # exhausted search, not a proof that no elementary sequence exists.
         ctx = gibbs_context_from_weights(
             [F(37, 46), F(6, 46), F(2, 46), F(1, 46)])
         p = (F(23, 89), F(172, 979), F(431, 979), F(123, 979))
@@ -224,7 +225,9 @@ class TestDominanceCap:
             if not pairs:
                 continue
             a, b = pairs[rng.randrange(len(pairs))]
-            delta_hi = _feas_cap(p, g, a, b)
+            (x,), scale = _scaled(p)
+            cap = _feas_cap(x, ctx.d, a, b)
+            delta_hi = cap / scale
 
             def shifted(d):
                 y = list(p)
@@ -232,7 +235,9 @@ class TestDominanceCap:
                 y[b] += d
                 return y
 
-            d = _dominance_cap(list(p), ctx, target, g, a, b, delta_hi)
+            q_at = [target.at(c) for c in target.xs]
+            d = F(_dominance_cap(x, scale, ctx.d, target, q_at, a, b, cap),
+                  scale)
             assert 0 <= d <= delta_hi
             assert thermo_majorizes(shifted(d), q, ctx)
             fails = [k for k in range(self.GRID + 1)
@@ -293,7 +298,9 @@ class TestAlignedLoop:
             compared += 1
             expected = slot_level_aligned(p, q, ctx.d, order)
             assert expected is not None
-            assert _synth_aligned(p, q, ctx.d, order, order) == expected
+            (x, y), scale = _scaled(p, q)
+            assert _synth_aligned(x, y, scale, ctx.d, order,
+                                  order) == expected
         assert compared >= 300
 
     def test_billion_slots_in_bounded_memory(self):
