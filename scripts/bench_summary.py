@@ -10,7 +10,9 @@ workload and seed for both runs of a pair.  Then, from the repository root:
 Every ``<workload>.seed<n>.trace0.json`` record present in both directories
 makes one pair.  For each end-to-end metric of ``BENCHMARK.json`` the file
 holds each side's runs, median and quartiles, and how many pairs the change
-won (ties count for neither side).
+won (ties count for neither side).  Each workload also lists the ops each
+run attempted, per side and in seed order: the harness keeps a record per
+op, so ``peak_rss_mb`` grows with that count as well as with the library.
 """
 
 from __future__ import annotations
@@ -66,8 +68,13 @@ def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 "median_ratio": (pb["median"] / pa["median"]
                                  if pa["median"] else None),
                 "parent_iqr": pa["q3"] - pa["q1"]}
-        out[workload] = {"pairs": len(seeds), "seeds": seeds,
-                         "metrics": table}
+        out[workload] = {
+            "pairs": len(seeds), "seeds": seeds,
+            "attempted": {"parent": [parent[workload, s]["attempted"]
+                                     for s in seeds],
+                          "change": [change[workload, s]["attempted"]
+                                     for s in seeds]},
+            "metrics": table}
     return out
 
 

@@ -261,7 +261,9 @@ def thermo_majorizes_abs(p, q, ctx: GibbsContext,
     g_j |x_j/g_j - a| becomes d_j |key_j - k| over the common denominator
     ``scale * lam``, the unit of the slack too.  Each sum equals
     ``2 L*(a) - N + a`` for the curve's conjugate L*, so the curve route's
-    slack t becomes ``2 t - (N_q - N_p)`` here.
+    slack t becomes ``2 t - (N_q - N_p)`` here.  Both sums are evaluated at
+    every kink in one ascending sweep over the sorted keys (``O(n log n)``,
+    see ``_abs_majorize``).
     """
     r, s, d, slack = _key_pair(p, q, ctx, tol)
     if slack:
@@ -272,11 +274,27 @@ def thermo_majorizes_abs(p, q, ctx: GibbsContext,
 
 def _abs_majorize(r, s, d, slack: int) -> bool:
     """The absolute-deviation sums of ratio keys r (source) and s (target)
-    with slot counts d, compared at every kink within an integer slack."""
-    for k in {0, *r, *s}:
-        lhs = sum(dj * abs(sj - k) for dj, sj in zip(d, s))
-        rhs = sum(dj * abs(rj - k) for dj, rj in zip(d, r))
-        if lhs > rhs + slack:
+    with slot counts d, compared at every kink within an integer slack.
+
+    One ascending sweep over the kinks: with W the total weight, M the
+    weighted key sum and W_k, M_k the same totals over the keys below k,
+    ``sum_j d_j |x_j - k| = k (2 W_k - W) + M - 2 M_k``."""
+    rs, ss = sorted(zip(r, d)), sorted(zip(s, d))
+    W = sum(d)
+    Mr = sum(x * w for x, w in rs)
+    Ms = sum(x * w for x, w in ss)
+    n = len(d)
+    i = j = wr = mr = ws = ms = 0
+    for k in sorted({0, *r, *s}):
+        while i < n and rs[i][0] < k:
+            wr += rs[i][1]
+            mr += rs[i][0] * rs[i][1]
+            i += 1
+        while j < n and ss[j][0] < k:
+            ws += ss[j][1]
+            ms += ss[j][0] * ss[j][1]
+            j += 1
+        if k * 2 * (ws - wr) + Ms - Mr - 2 * (ms - mr) > slack:
             return False
     return True
 

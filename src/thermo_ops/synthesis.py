@@ -30,11 +30,16 @@ from .majorization import ExactLorenz, _curves, _witness, lorenz_violation
 
 
 class SynthesisError(DomainError):
-    """Raised when no elementary sequence from p to q was found."""
+    """Raised when no elementary sequence from p to q was found.
 
-    def __init__(self, message, witness=None):
+    ``witness`` is the violated elbow when q is not majorized.  When every
+    strategy gave up, ``attempts`` holds one ``(strategy, reason)`` pair per
+    strategy, in the order they were tried; otherwise it is empty."""
+
+    def __init__(self, message, witness=None, attempts=()):
         super().__init__(message)
         self.witness = witness
+        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -417,61 +422,89 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
         return _Run(P, Q, scale, d, target, q_at)
 
     tau = relabel_out
-    attempts = [lambda: _synth_aligned(P, Q, scale, d, relabel_in, tau)]
-    for asc in (True, False):
-        attempts.append(lambda a=asc: _run_phases(run(), tau[:-1], a))
-        attempts.append(lambda a=asc: _run_phases(run(), tau[1:][::-1], a))
-    attempts.append(lambda: _greedy_balanced(run()))
+    strategies = [("aligned",
+                   lambda: _synth_aligned(P, Q, scale, d, relabel_in, tau))]
+    for asc, way in ((True, "ascending"), (False, "descending")):
+        strategies.append((f"phase-{way}", lambda a=asc: _run_phases(
+            run(), tau[:-1], a)))
+        strategies.append((f"phase-{way}-reverse", lambda a=asc: _run_phases(
+            run(), tau[1:][::-1], a)))
+    strategies.append(("greedy", lambda: _greedy_balanced(run())))
 
     transfers = None
-    for attempt in attempts:
+    failures = []
+    for name, strategy in strategies:
         try:
-            transfers = attempt()
+            transfers = strategy()
             break
-        except _Unreachable:
-            continue
+        except _Unreachable as exc:
+            failures.append((name, exc))
     if transfers is None:
         raise SynthesisError(
             "no elementary sequence found: the pair is thermo-majorized but "
             "appears unreachable by two-level detailed-balanced steps alone "
-            "(a known gap of the sequential construction)")
+            "(a known gap of the sequential construction)",
+            attempts=tuple((name, str(exc)) for name, exc in failures))
 
     if len(transfers) > ctx.D:
         raise SynthesisError(
             f"internal: produced {len(transfers)} steps, above the D={ctx.D} "
             "bound")
 
-    # transfers -> validated steps with provenance, replayed on integers
-    # over one scale that holds every transfer's mass
+    steps, records = _replay(transfers, P, Q, scale, ctx, group)
+    return EdpSequence(steps, records, relabel_in, relabel_out)
+
+
+def _replay(transfers, P, Q, scale, ctx: GibbsContext, group: bool):
+    """The transfers as validated steps and provenance records, replayed
+    on integers over one scale that holds every transfer's mass.
+
+    Each step's ``p_down`` is the pair ``num/den`` of its mass over the
+    feasibility cap.  With ``group``, a run of steps on one level pair is
+    composed on those pairs, ``p + p' - p p' (d_lo + d_hi)/d_lo`` (the
+    matrix product, as in ``compose_edps_same_pair``), and one step is built
+    per run."""
+    d = ctx.d
     unit = math.lcm(scale, *(t[2].denominator for t in transfers))
     x = [v * (unit // scale) for v in P]
-    raw_steps: list[EdpStep] = []
+    steps: list[EdpStep] = []
     records: list[StepRecord] = []
+    run = None  # (lo, hi, num, den) of the run being composed
+
     for a, b, delta, j_ex, j_df, lam, origin in transfers:
         lo, hi = (a, b) if d[a] > d[b] else (b, a)
         mass = delta.numerator * (unit // delta.denominator)
         # mass / _feas_cap, with the cap over ``unit``
-        p_down = Fraction(mass * d[lo], x[a] * d[b] - x[b] * d[a])
-        step = make_edp_step(ctx, lo, hi, p_down)
+        num, den = mass * d[lo], x[a] * d[b] - x[b] * d[a]
+        if den < 0:
+            num, den = -num, -den
+        if not 0 <= num <= den or not den:
+            raise DomainError("p_down must lie in [0, 1]")
         if lam is None:
-            lam = 1 - p_down
-        raw_steps.append(step)
+            lam = Fraction(den - num, den)
         records.append(StepRecord(lo, hi, delta, j_ex, j_df, lam, origin))
         x[a] -= mass
         x[b] += mass
+        if not group:
+            steps.append(make_edp_step(ctx, lo, hi, Fraction(num, den)))
+        elif run is not None and run[:2] == (lo, hi):
+            _, _, n0, d0 = run
+            dl = d[lo]
+            num = (n0 * den + num * d0) * dl - n0 * num * (dl + d[hi])
+            den *= d0 * dl
+            common = math.gcd(num, den)
+            run = (lo, hi, num // common, den // common)
+        else:
+            if run is not None:
+                steps.append(make_edp_step(ctx, run[0], run[1],
+                                           Fraction(run[2], run[3])))
+            run = (lo, hi, num, den)
+    if run is not None:
+        steps.append(make_edp_step(ctx, run[0], run[1],
+                                   Fraction(run[2], run[3])))
     if x != [v * (unit // scale) for v in Q]:
         raise SynthesisError("internal: replay of the found sequence failed")
-
-    steps: list[EdpStep] = []
-    if group:
-        for step in raw_steps:
-            if steps and (steps[-1].lo, steps[-1].hi) == (step.lo, step.hi):
-                steps[-1] = compose_edps_same_pair(steps[-1], step, ctx)
-            else:
-                steps.append(step)
-    else:
-        steps = raw_steps
-    return EdpSequence(tuple(steps), tuple(records), relabel_in, relabel_out)
+    return tuple(steps), tuple(records)
 
 
 @dataclass(frozen=True)

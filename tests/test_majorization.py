@@ -14,6 +14,7 @@ from thermo_ops import (DomainError, beta_order, embed,
                         thermo_majorizes_abs, thermo_majorizes_curve,
                         thermo_majorizes_embedded, unembed)
 from thermo_ops.linprog import gibbs_map_exists
+from thermo_ops.majorization import _abs_majorize
 
 from conftest import rand_ctx, rand_pop
 
@@ -100,6 +101,47 @@ class TestAbsRoute:
         assert thermo_majorizes_curve(p, q, two_thirds_ctx, 1e-9)
         assert thermo_majorizes_abs(p, q, two_thirds_ctx, 1e-9)
         assert thermo_majorizes(p, q, two_thirds_ctx, 1e-9, route="all")
+
+
+def abs_majorize_per_kink(r, s, d, slack):
+    """Reference for ``_abs_majorize``: both deviation sums evaluated term
+    by term at every kink."""
+    for k in {0, *r, *s}:
+        lhs = sum(dj * abs(sj - k) for dj, sj in zip(d, s))
+        rhs = sum(dj * abs(rj - k) for dj, rj in zip(d, r))
+        if lhs > rhs + slack:
+            return False
+    return True
+
+
+class TestAbsSweep:
+    def test_sweep_matches_per_kink_reference(self):
+        """Keys drawn from a small range (duplicates, zeros, keys shared by
+        r and s), from a wide one, and of either sign (so that the kink at
+        zero matters too); slacks at the critical value, one below it, zero
+        and random of either sign."""
+        rng = random.Random(1212)
+        verdicts = {True: 0, False: 0}
+        for case in range(1500):
+            n = rng.randint(1, 6)
+            d = [rng.randint(1, 9) for _ in range(n)]
+            top = (10 ** 6, 8, 8)[case % 3]
+            bottom = -top if case % 3 == 2 else 0
+            r = [rng.choice((0, rng.randint(bottom, top))) for _ in range(n)]
+            s = [rng.choice((rng.choice(r), rng.randint(bottom, top)))
+                 for _ in range(n)]
+            critical = max(
+                sum(dj * abs(sj - k) for dj, sj in zip(d, s))
+                - sum(dj * abs(rj - k) for dj, rj in zip(d, r))
+                for k in {0, *r, *s})
+            for slack in {0, critical, critical - 1,
+                          rng.randint(-top, top)}:
+                got = _abs_majorize(r, s, d, slack)
+                assert got == abs_majorize_per_kink(r, s, d, slack), \
+                    (r, s, d, slack)
+                verdicts[got] += 1
+        assert sum(verdicts.values()) >= 5000
+        assert min(verdicts.values()) >= 1000
 
 
 class TestEmbeddedRoute:

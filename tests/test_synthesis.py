@@ -11,7 +11,8 @@ from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         thermo_majorizes, thermo_transposition,
                         validate_stochastic, verify_sequence)
 from thermo_ops.majorization import _scaled, exact_lorenz
-from thermo_ops.synthesis import _dominance_cap, _feas_cap, _synth_aligned
+from thermo_ops.synthesis import (_dominance_cap, _feas_cap, _replay,
+                                  _synth_aligned)
 
 from conftest import rand_ctx, rand_edp_image, rand_plt_image, rand_pop
 
@@ -390,6 +391,119 @@ class TestPinnedOutputs:
         assert origins == {"aligned", "phase", "transit", "greedy"}
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == SYNTHESIS_PIN
+
+
+def grouped_by_oracle(steps, ctx):
+    """The ungrouped steps with each run on one level pair folded by
+    ``compose_edps_same_pair``."""
+    out = []
+    for step in steps:
+        if out and (out[-1].lo, out[-1].hi) == (step.lo, step.hi):
+            out[-1] = compose_edps_same_pair(out[-1], step, ctx)
+        else:
+            out.append(step)
+    return tuple(out)
+
+
+def grouping_corpus():
+    """The pinned corpus (its greedy-only pairs included), then seeded
+    elementary and partial-thermalisation images with n <= 6."""
+    for ctx, p, q, _ in pinned_synthesis_corpus():
+        yield ctx, p, q
+    rng = random.Random(1313)
+    for trial in range(150):
+        ctx = rand_ctx(rng, nmax=6, dmax_total=60)
+        p = rand_pop(rng, ctx.n)
+        image = rand_edp_image if trial % 2 else rand_plt_image
+        yield ctx, p, image(rng, p, ctx, rng.randint(1, 12))
+
+
+class TestIntegerGrouping:
+    def test_grouped_steps_match_composition_oracle(self):
+        grouped_runs = 0
+        for ctx, p, q in grouping_corpus():
+            try:
+                raw = synthesize(p, q, ctx, group=False)
+            except SynthesisError as exc:
+                with pytest.raises(SynthesisError) as again:
+                    synthesize(p, q, ctx, group=True)
+                assert str(again.value) == str(exc)
+                continue
+            seq = synthesize(p, q, ctx, group=True)
+            assert seq.steps == grouped_by_oracle(raw.steps, ctx)
+            assert seq.provenance == raw.provenance
+            assert len(raw.steps) == len(raw.provenance)
+            grouped_runs += len(raw.steps) - len(seq.steps)
+        assert grouped_runs > 100
+
+    @pytest.mark.parametrize("group", [True, False])
+    @pytest.mark.parametrize("delta", [F(1), F(-1, 8)])
+    def test_out_of_range_p_down_is_refused(self, two_thirds_ctx, group,
+                                            delta):
+        # from (1, 0) one step moves at most 1/2 from level 0 to level 1,
+        # so moving 1 is p_down = 2, and a negative mass is p_down < 0
+        transfer = (0, 1, delta, 1, 3, None, "phase")
+        P, Q = (1, 0), (1 - delta, delta)
+        with pytest.raises(DomainError, match=r"p_down must lie in \[0, 1\]"):
+            _replay([transfer], P, Q, 1, two_thirds_ctx, group)
+
+    def test_valid_transfer_replays(self, two_thirds_ctx):
+        # 1/4 is half the cap from (1, 0), then 1/8 all of it from
+        # (3/4, 1/4): p_down 1/2, then 1
+        transfers = [(0, 1, F(1, 4), 1, 3, None, "phase"),
+                     (0, 1, F(1, 8), 2, 3, None, "phase")]
+        steps, records = _replay(transfers, (8, 0), (5, 3), 8,
+                                 two_thirds_ctx, True)
+        half = make_edp_step(two_thirds_ctx, 0, 1, F(1, 2))
+        assert steps == (compose_edps_same_pair(half, make_edp_step(
+            two_thirds_ctx, 0, 1, F(1)), two_thirds_ctx),)
+        assert [r.lam for r in records] == [F(1, 2), F(0)]
+
+
+# The synthesis-gap instance (perfbench exact-small corpus, seed 109, item
+# 102, kind "edp"): q is an image of p under elementary steps, yet every
+# strategy gives up.
+GAP_D = (3, 23, 14, 2)
+GAP_P = (F(131, 2127), F(324, 709), F(929, 2127), F(95, 2127))
+GAP_Q = (F(61393694373, 688239935488), F(83900091128341, 142465666646016),
+         F(4918383491, 17666873344), F(408455, 9392832))
+
+
+def gap_ctx():
+    return gibbs_context_from_weights([F(di, sum(GAP_D)) for di in GAP_D])
+
+
+class TestGiveUpReasons:
+    def test_every_strategy_reports_why_it_gave_up(self):
+        ctx = gap_ctx()
+        assert thermo_majorizes(GAP_P, GAP_Q, ctx)
+        with pytest.raises(SynthesisError) as info:
+            synthesize(GAP_P, GAP_Q, ctx)
+        exc = info.value
+        assert str(exc).startswith("no elementary sequence found")
+        assert exc.witness is None
+        assert exc.attempts == (
+            ("aligned", "pair is not beta-aligned"),
+            ("phase-ascending", "phase for level 1 did not converge"),
+            ("phase-ascending-reverse", "no admissible transfer for level 2"),
+            ("phase-descending", "phase for level 1 did not converge"),
+            ("phase-descending-reverse",
+             "no admissible transfer for level 2"),
+            ("greedy", "no admissible greedy transfer"))
+
+    def test_witness_refusal_has_no_attempts(self, two_thirds_ctx):
+        with pytest.raises(SynthesisError) as info:
+            synthesize((F(1, 2), F(1, 2)), (F(1), F(0)), two_thirds_ctx)
+        assert info.value.witness is not None
+        assert info.value.attempts == ()
+
+    @pytest.mark.xfail(strict=True, raises=SynthesisError,
+                       reason="synthesis-gap: every strategy gives up on a "
+                              "target made by elementary steps")
+    def test_gap_instance_is_synthesized(self):
+        ctx = gap_ctx()
+        seq = synthesize(GAP_P, GAP_Q, ctx)
+        assert verify_sequence(seq, GAP_P, GAP_Q, ctx, tol=0).ok
 
 
 class TestVerifySequence:
