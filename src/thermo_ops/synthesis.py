@@ -476,9 +476,7 @@ def _replay(transfers, P, Q, scale, ctx: GibbsContext, group: bool):
         mass = delta.numerator * (unit // delta.denominator)
         # mass / _feas_cap, with the cap over ``unit``
         num, den = mass * d[lo], x[a] * d[b] - x[b] * d[a]
-        if den < 0:
-            num, den = -num, -den
-        if not 0 <= num <= den or not den:
+        if den <= 0 or not 0 <= num <= den:
             raise DomainError("p_down must lie in [0, 1]")
         if lam is None:
             lam = Fraction(den - num, den)
