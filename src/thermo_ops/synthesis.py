@@ -470,7 +470,6 @@ def _replay(transfers, P, Q, scale, ctx: GibbsContext, group: bool):
     steps: list[EdpStep] = []
     records: list[StepRecord] = []
     run = None  # (lo, hi, num, den) of the run being composed
-
     for a, b, delta, j_ex, j_df, lam, origin in transfers:
         lo, hi = (a, b) if d[a] > d[b] else (b, a)
         mass = delta.numerator * (unit // delta.denominator)

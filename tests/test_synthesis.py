@@ -447,18 +447,6 @@ class TestIntegerGrouping:
         with pytest.raises(DomainError, match=r"p_down must lie in \[0, 1\]"):
             _replay([transfer], P, Q, 1, two_thirds_ctx, group)
 
-    def test_valid_transfer_replays(self, two_thirds_ctx):
-        # 1/4 is half the cap from (1, 0), then 1/8 all of it from
-        # (3/4, 1/4): p_down 1/2, then 1
-        transfers = [(0, 1, F(1, 4), 1, 3, None, "phase"),
-                     (0, 1, F(1, 8), 2, 3, None, "phase")]
-        steps, records = _replay(transfers, (8, 0), (5, 3), 8,
-                                 two_thirds_ctx, True)
-        half = make_edp_step(two_thirds_ctx, 0, 1, F(1, 2))
-        assert steps == (compose_edps_same_pair(half, make_edp_step(
-            two_thirds_ctx, 0, 1, F(1)), two_thirds_ctx),)
-        assert [r.lam for r in records] == [F(1, 2), F(0)]
-
 
 # The synthesis-gap instance (perfbench exact-small corpus, seed 109, item
 # 102, kind "edp"): q is an image of p under elementary steps, yet every
