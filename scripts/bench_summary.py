@@ -9,10 +9,22 @@ workload and seed for both runs of a pair.  Then, from the repository root:
 
 Every ``<workload>.seed<n>.trace0.json`` record present in both directories
 makes one pair.  For each end-to-end metric of ``BENCHMARK.json`` the file
-holds each side's runs, median and quartiles, and how many pairs the change
-won (ties count for neither side).  Each workload also lists the ops each
-run attempted, per side and in seed order: the harness keeps a record per
-op, so ``peak_rss_mb`` grows with that count as well as with the library.
+holds each side's runs, median and quartiles (the median alone for one
+run), how many pairs the change won (ties count for neither side), the
+metric's ``bound`` and a ``verdict``, the first of these that holds:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+- ``unresolved``: the parent's runs spread (interquartile range over
+  median) wider than ``bound``, or there is one run, and not every change
+  run beats every parent run;
+- ``better``: at least ten pairs, the change wins nine tenths of them, and
+  the medians differ by more than the parent's interquartile range;
+- ``within_bound``: every other case.
+
+Each workload also lists the ops each run attempted, per side and in seed
+order: the harness keeps a record per op, so ``peak_rss_mb`` grows with
+that count as well as with the library.
 """
 
 from __future__ import annotations
@@ -42,8 +54,26 @@ def records(directory: str) -> dict:
 
 
 def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": statistics.median(values), "runs": values}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def verdict(a: list[float], b: list[float], higher: bool, wins: int,
+            bound: float, iqr: float | None) -> str:
+    """The verdict on parent runs a and change runs b (see the module
+    docstring); ``iqr`` is the parent's, None for a single run."""
+    pa, pb = statistics.median(a), statistics.median(b)
+    gain = pb - pa if higher else pa - pb
+    if -gain > bound * abs(pa):
+        return "worse"
+    beats_all = min(b) > max(a) if higher else max(b) < min(a)
+    if (iqr is None or iqr > bound * abs(pa)) and not beats_all:
+        return "unresolved"
+    if len(a) >= 10 and 10 * wins >= 9 * len(a) and gain > iqr:
+        return "better"
+    return "within_bound"
 
 
 def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
@@ -62,12 +92,14 @@ def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 continue
             wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
             pa, pb = spread(a), spread(b)
+            iqr = pa["q3"] - pa["q1"] if "q1" in pa else None
             table[name] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "parent": pa, "change": pb, "change_wins": wins,
                 "median_ratio": (pb["median"] / pa["median"]
                                  if pa["median"] else None),
-                "parent_iqr": pa["q3"] - pa["q1"]}
+                "parent_iqr": iqr, "bound": metric["bound"],
+                "verdict": verdict(a, b, higher, wins, metric["bound"], iqr)}
         out[workload] = {
             "pairs": len(seeds), "seeds": seeds,
             "attempted": {"parent": [parent[workload, s]["attempted"]

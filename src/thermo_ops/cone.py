@@ -16,9 +16,8 @@ from typing import Sequence
 
 from .core import (DomainError, GibbsContext, Number, ThermoPermutation,
                    as_values, coerce_exact, has_float)
-from .majorization import (ExactLorenz, _abs_majorize, _blocks_majorize,
-                           _ratio_keys, as_number, exact_lorenz,
-                           lorenz_violation, slot_counts, thermo_majorizes)
+from .majorization import (ExactLorenz, _dominates, as_number, exact_lorenz,
+                           slot_counts, thermo_majorizes)
 
 
 @dataclass(frozen=True)
@@ -34,35 +33,12 @@ def cone_membership(p, q, ctx: GibbsContext, tol: Number | None = None) -> bool:
     return thermo_majorizes(p, q, ctx, tol, route="all")
 
 
-class _SelfCheck:
-    """The source's side of the three majorisation routes, built once: its
-    curve, ratio keys and blocks, all over ``curve.scale * curve.lam``, the
-    denominator of the vertex numerators that ``admits`` takes."""
-
-    def __init__(self, curve: ExactLorenz, d):
-        lam = curve.lam
-        nums = [v * lam for v in curve.nums]
-        self.d, self.lam, self.scale = d, lam, curve.scale * lam
-        self.total = sum(nums)
-        self.curve = ExactLorenz(nums, self.scale, d)
-        self.keys = _ratio_keys(nums, d, lam)
-        self.blocks = tuple(zip(self.keys, d))
-
-    def admits(self, v) -> bool:
-        """Whether the source thermo-majorizes the numerators v, exactly:
-        equal sums, and the curve, abs and embedded routes all with zero
-        slack.  Routes that disagree are a DomainError."""
-        if sum(v) != self.total:
-            return False
-        d = self.d
-        curve = ExactLorenz(v, self.scale, d)
-        keys = _ratio_keys(v, d, self.lam)
-        verdicts = {lorenz_violation(self.curve, curve) is None,
-                    _abs_majorize(self.keys, keys, d, 0),
-                    _blocks_majorize(self.blocks, tuple(zip(keys, d)), 0)}
-        if len(verdicts) != 1:
-            raise DomainError("majorisation routes disagree")
-        return verdicts.pop()
+def _admits(source: ExactLorenz, v) -> bool:
+    """Whether the source curve thermo-majorizes the numerators v over its
+    scale, exactly: equal sums, and the curve, abs and embedded routes all
+    with zero slack.  Routes that disagree are a DomainError."""
+    return sum(v) == source.ys[-1] and _dominates(
+        source, ExactLorenz(v, source.scale, source.d), 0, "all")
 
 
 def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
@@ -98,11 +74,11 @@ def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
         if vt not in seen:
             seen.add(vt)
             out.append(vt)
-    check = _SelfCheck(curve, steps)
-    for vt in out:
-        if not check.admits(vt):
-            raise DomainError("internal: vertex escapes the cone")
     denom = curve.scale * curve.lam
+    source = ExactLorenz([v * curve.lam for v in curve.nums], denom, steps)
+    for vt in out:
+        if not _admits(source, vt):
+            raise DomainError("internal: vertex escapes the cone")
     inexact = has_float(pv, ctx.g)
     number = {v: as_number(v, denom, inexact) for vt in out for v in vt}
     return tuple(tuple(number[v] for v in vt) for vt in out)

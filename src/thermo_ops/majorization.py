@@ -74,19 +74,6 @@ def _ratio_keys(nums: Sequence[int], d: Sequence[int],
     return [x * (lam // di) for x, di in zip(nums, d)]
 
 
-def _integer_pair(pv, qv, ctx: GibbsContext, tol):
-    """p and q as numerators over one common denominator ``scale``, and the
-    resolved tolerance as an integer slack in units of ``1/scale``.  A
-    dimension or normalisation mismatch is a DomainError."""
-    _check_dims(ctx, pv, qv)
-    t = auto_tol(tol, pv, qv, ctx.g)
-    (P, Q, (slack,)), scale = _scaled(pv, qv, (t,))
-    gap = abs(sum(P) - sum(Q))
-    if gap and gap > Fraction(norm_tol(t, pv, qv)) * scale:
-        raise DomainError(f"normalisations differ: {sum(pv)} vs {sum(qv)}")
-    return P, Q, scale, slack
-
-
 def beta_order(p, ctx: GibbsContext) -> BetaOrder:
     return BetaOrder(exact_lorenz(p, ctx).order)
 
@@ -97,15 +84,18 @@ class ExactLorenz:
     ``nums`` are the occupations in units of ``1/scale``, ``order`` is the
     beta-order, ``xs[k]`` the slot count of its first k levels and ``ys[k]``
     their occupation; the curve runs from (0, 0) to (sum of d,
-    norm * scale).  ``lam`` is lcm(d).
+    norm * scale).  ``d`` are the slot counts, ``lam`` is lcm(d), and
+    ``keys`` are the ratio keys (``_ratio_keys``), which the abs and
+    embedded routes read over ``scale * lam``.
     """
 
-    __slots__ = ("nums", "order", "xs", "ys", "scale", "lam")
+    __slots__ = ("nums", "order", "xs", "ys", "scale", "lam", "d", "keys")
 
     def __init__(self, nums: Sequence[int], scale: int, d: Sequence[int]):
         self.nums = nums
+        self.d = d
         self.lam = math.lcm(*d)
-        keys = _ratio_keys(nums, d, self.lam)
+        self.keys = keys = _ratio_keys(nums, d, self.lam)
         self.order = tuple(sorted(range(len(nums)),
                                   key=lambda i: (-keys[i], -nums[i], i)))
         self.scale = scale
@@ -167,18 +157,45 @@ def lorenz_violation(a: ExactLorenz, b: ExactLorenz, slack: int = 0):
 
 
 def _curves(pv, qv, ctx: GibbsContext, tol):
-    P, Q, scale, slack = _integer_pair(pv, qv, ctx, tol)
+    """The curves of p and q over one common denominator ``scale``, and the
+    resolved tolerance as an integer slack in units of ``1/scale``.  A
+    dimension or normalisation mismatch is a DomainError."""
+    _check_dims(ctx, pv, qv)
+    t = auto_tol(tol, pv, qv, ctx.g)
+    (P, Q, (slack,)), scale = _scaled(pv, qv, (t,))
+    gap = abs(sum(P) - sum(Q))
+    if gap and gap > Fraction(norm_tol(t, pv, qv)) * scale:
+        raise DomainError(f"normalisations differ: {sum(pv)} vs {sum(qv)}")
     d = slot_counts(ctx)[0]
     return ExactLorenz(P, scale, d), ExactLorenz(Q, scale, d), slack
 
 
-def _key_pair(p, q, ctx: GibbsContext, tol):
-    """The ratio keys of p and q, the slot counts, and the slack in the
-    keys' unit ``1/(scale * lam)``."""
-    P, Q, _, slack = _integer_pair(as_values(p), as_values(q), ctx, tol)
-    d = slot_counts(ctx)[0]
-    lam = math.lcm(*d)
-    return _ratio_keys(P, d, lam), _ratio_keys(Q, d, lam), d, slack * lam
+def _agree(verdicts) -> bool:
+    """The routes' common verdict; routes that disagree are a DomainError."""
+    verdicts = set(verdicts)
+    if len(verdicts) != 1:
+        raise DomainError("majorisation routes disagree")
+    return verdicts.pop()
+
+
+def _dominates(a: ExactLorenz, b: ExactLorenz, slack: int,
+               route: Route) -> bool:
+    """Whether curve a thermo-majorizes curve b within ``slack`` (in units
+    of ``1/scale``) by one route, or by all three, which must agree.  Both
+    curves share their slot counts and their scale."""
+    if route == "curve":
+        return lorenz_violation(a, b, slack) is None
+    d, lam = a.d, a.lam
+    if route == "abs":
+        if slack:
+            slack = 2 * slack * lam - sum(dj * (sj - rj) for dj, sj, rj
+                                          in zip(d, b.keys, a.keys))
+        return _abs_majorize(a.keys, b.keys, d, slack)
+    if route == "embedded":
+        return _blocks_majorize(tuple(zip(a.keys, d)), tuple(zip(b.keys, d)),
+                                slack * lam)
+    return _agree(_dominates(a, b, slack, r)
+                  for r in ("curve", "abs", "embedded"))
 
 
 @dataclass(frozen=True)
@@ -222,8 +239,8 @@ def thermo_majorizes_curve(p, q, ctx: GibbsContext,
                            tol: Number | None = None) -> bool:
     """Lorenz-curve dominance checked at the elbows of either curve; the
     curves are piecewise linear, so elbow checks are sufficient."""
-    lp, lq, slack = _curves(as_values(p), as_values(q), ctx, tol)
-    return lorenz_violation(lp, lq, slack) is None
+    return _dominates(*_curves(as_values(p), as_values(q), ctx, tol),
+                      "curve")
 
 
 def majorization_witness(p, q, ctx: GibbsContext,
@@ -254,38 +271,42 @@ def thermo_majorizes_abs(p, q, ctx: GibbsContext,
                          tol: Number | None = None) -> bool:
     """Weighted absolute-deviation route.
 
-    Both sides are piecewise linear in the threshold with equal values at zero
-    and equal slope past the largest kink, so checking the kink set
-    {0} u {p_j/g_j} u {q_j/g_j} decides the inequality for every threshold.
+    The inequality holds at every threshold iff it holds at p's ratios
+    p_j/g_j: between two consecutive ones p's sum is linear and q's is
+    convex, so their difference is convex and largest at an end; beyond
+    the extreme ones p's sum has slope -1 or +1, the steepest any such sum
+    has (``_abs_majorize``), so the difference grows no further.
     The thresholds are counted in units of the ratio keys, so
     g_j |x_j/g_j - a| becomes d_j |key_j - k| over the common denominator
     ``scale * lam``, the unit of the slack too.  Each sum equals
     ``2 L*(a) - N + a`` for the curve's conjugate L*, so the curve route's
     slack t becomes ``2 t - (N_q - N_p)`` here.  Both sums are evaluated at
-    every kink in one ascending sweep over the sorted keys (``O(n log n)``,
-    see ``_abs_majorize``).
+    p's kinks in one ascending sweep over the sorted keys (``O(n log n)``).
     """
-    r, s, d, slack = _key_pair(p, q, ctx, tol)
-    if slack:
-        slack = 2 * slack - sum(dj * (sj - rj)
-                                for dj, sj, rj in zip(d, s, r))
-    return _abs_majorize(r, s, d, slack)
+    return _dominates(*_curves(as_values(p), as_values(q), ctx, tol), "abs")
 
 
 def _abs_majorize(r, s, d, slack: int) -> bool:
     """The absolute-deviation sums of ratio keys r (source) and s (target)
-    with slot counts d, compared at every kink within an integer slack.
+    with slot counts d, compared at every threshold within an integer slack.
 
-    One ascending sweep over the kinks: with W the total weight, M the
-    weighted key sum and W_k, M_k the same totals over the keys below k,
-    ``sum_j d_j |x_j - k| = k (2 W_k - W) + M - 2 M_k``."""
+    The source's keys decide.  With S_x(k) = sum_j d_j |x_j - k|, the
+    difference S_s - S_r is convex between two consecutive keys of r, where
+    S_r is linear, so its maximum there is at an end.  Below r's smallest
+    key S_r has slope -W, W the total weight, and above its largest +W,
+    while |S_s(k) - S_s(k')| <= W |k - k'| by the triangle inequality, so
+    S_s - S_r does not grow beyond r's extreme keys.
+
+    One ascending sweep over those keys: with M the weighted key sum and
+    W_k, M_k the totals over the keys below k,
+    ``S_x(k) = k (2 W_k - W) + M - 2 M_k``."""
     rs, ss = sorted(zip(r, d)), sorted(zip(s, d))
     W = sum(d)
     Mr = sum(x * w for x, w in rs)
     Ms = sum(x * w for x, w in ss)
     n = len(d)
     i = j = wr = mr = ws = ms = 0
-    for k in sorted({0, *r, *s}):
+    for k in sorted(set(r)):
         while i < n and rs[i][0] < k:
             wr += rs[i][1]
             mr += rs[i][0] * rs[i][1]
@@ -383,12 +404,14 @@ def thermo_majorizes_embedded(p, q, ctx: GibbsContext,
     blocks (value p_i/d_i repeated d_i times), so no D slots are built.
     The slot values are the ratio keys over the common denominator
     ``scale * lam``, so every partial sum is an integer."""
-    r, s, d, slack = _key_pair(p, q, ctx, tol)
-    return _blocks_majorize(tuple(zip(r, d)), tuple(zip(s, d)), slack)
+    return _dominates(*_curves(as_values(p), as_values(q), ctx, tol),
+                      "embedded")
 
 
 def thermo_majorizes(p, q, ctx: GibbsContext, tol: Number | None = None,
                      route: Route = "curve") -> bool:
+    # The route functions are called by their module names, not through
+    # _dominates, so that a tracer rebinding those names times each route.
     if route == "curve":
         return thermo_majorizes_curve(p, q, ctx, tol)
     if route == "abs":
@@ -396,12 +419,9 @@ def thermo_majorizes(p, q, ctx: GibbsContext, tol: Number | None = None,
     if route == "embedded":
         return thermo_majorizes_embedded(p, q, ctx, tol)
     if route == "all":
-        results = {thermo_majorizes_curve(p, q, ctx, tol),
-                   thermo_majorizes_abs(p, q, ctx, tol),
-                   thermo_majorizes_embedded(p, q, ctx, tol)}
-        if len(results) != 1:
-            raise DomainError("majorisation routes disagree")
-        return results.pop()
+        return _agree((thermo_majorizes_curve(p, q, ctx, tol),
+                       thermo_majorizes_abs(p, q, ctx, tol),
+                       thermo_majorizes_embedded(p, q, ctx, tol)))
     raise DomainError(f"unknown route {route!r}")
 
 

@@ -8,7 +8,7 @@ from thermo_ops import (DomainError, cone_membership, cone_vertices,
                         hull_check, hull_facets, make_gibbs_context,
                         pull_back, simplex_coordinates, thermal_cone,
                         thermo_majorizes)
-from thermo_ops.cone import _SelfCheck
+from thermo_ops.cone import _admits
 from thermo_ops.linprog import in_convex_hull
 from thermo_ops.majorization import ExactLorenz, exact_lorenz
 
@@ -163,8 +163,9 @@ class TestSelfCheck:
             ctx = rand_ctx(rng, nmax=5, dmax_total=30, distinct=False)
             p = rand_pop(rng, ctx.n)
             curve = exact_lorenz(p, ctx)
-            check = _SelfCheck(curve, ctx.d)
             denom = curve.scale * curve.lam
+            source = ExactLorenz([v * curve.lam for v in curve.nums], denom,
+                                 ctx.d)
             for vertex in cone_vertices(p, ctx):
                 nums = [v * denom for v in vertex]
                 assert all(v.denominator == 1 for v in nums)
@@ -176,7 +177,7 @@ class TestSelfCheck:
                 moved[i] -= step
                 moved[j] += step
                 for point in (nums, moved):
-                    verdict = check.admits(point)
+                    verdict = _admits(source, point)
                     assert verdict == cone_membership(
                         p, tuple(F(v, denom) for v in point), ctx)
                     admitted += verdict
@@ -184,7 +185,7 @@ class TestSelfCheck:
                 # one unit of mass more or less is never in the cone
                 for unit in (1, -1):
                     moved[i] += unit
-                    assert not check.admits(moved)
+                    assert not _admits(source, moved)
                     moved[i] -= unit
         assert refused >= 500 and admitted >= 1000
 

@@ -210,6 +210,11 @@ class TestRouteAgreementAndOrder:
             c = thermo_majorizes_embedded(p, q, ctx)
             assert a == b == c
 
+    def test_unknown_route_rejected(self, two_thirds_ctx):
+        ctx = two_thirds_ctx
+        with pytest.raises(DomainError, match="unknown route 'bogus'"):
+            thermo_majorizes((F(1), F(0)), ctx.g, ctx, route="bogus")
+
     def test_reflexive_transitive(self):
         rng = random.Random(17)
         for _ in range(100):
