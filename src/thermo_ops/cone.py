@@ -80,7 +80,7 @@ def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
         if not _admits(source, vt):
             raise DomainError("internal: vertex escapes the cone")
     inexact = has_float(pv, ctx.g)
-    number = {v: as_number(v, denom, inexact) for vt in out for v in vt}
+    number = {v: as_number(v, denom, inexact) for v in set().union(*out)}
     return tuple(tuple(number[v] for v in vt) for vt in out)
 
 

@@ -115,34 +115,40 @@ def _feas_cap(x, d, a, b):
     return Fraction(min(da, db) * (x[a] * db - x[b] * da), da * db)
 
 
-def _dominance_cap(x, scale, d, target, q_at, a, b, delta_hi):
+def _slacks(x, scale, d, target, q_at, a, b, delta):
+    """Slacks of the shifted state (x - delta e_a + delta e_b) over the
+    target at its elbows, as integers over a denominator whose only
+    delta-dependent factor is delta's denominator, and that factor."""
+    num, den = delta.numerator, delta.denominator
+    y = [v * den for v in x]
+    y[a] -= num
+    y[b] += num
+    unit, tscale = scale * den, target.scale
+    values = ExactLorenz(y, unit, d).values(target.xs)
+    return [c * tscale - v * unit for c, v in zip(values, q_at)], den
+
+
+def _dominance_cap(x, scale, d, target, q_at, a, b, delta_hi, s0=None):
     """delta_hi when the shifted state (x - m e_a + m e_b) at m = delta_hi
     thermo-majorises the target; otherwise the largest m such that every
     shifted state on [0, m] does.  x are numerators over ``scale``, the
-    masses m are in units of ``1/scale``, d are the slot counts and ``q_at``
-    holds the target's values at its own elbows (``target.at``).
+    masses m are in units of ``1/scale``, d are the slot counts, ``q_at``
+    holds the target's values at its own elbows (``target.values``) and
+    ``s0``, when given, returns the state's own ``_slacks`` (m = 0).
 
     Between ratio-crossing values of m the beta-order is fixed, so the slack
     of the shifted curve over the target at each target elbow is affine in m
     and the binding m is a root of the line through the slacks at the two
     ends of one regime.  Checking the target elbows suffices: between them
-    the shifted curve is concave and the target linear.
+    the shifted curve is concave and the target linear.  The smallest root
+    is chosen on integers, the elbow with the least ratio of its slacks at
+    the two ends; a zero slack at the regime's start is a root there, whose
+    slacks are known, so only an interior root is checked anew.
     """
     n = len(x)
-    tscale = target.scale
 
     def slack(delta):
-        """Slacks at the target elbows as integers over a denominator whose
-        only delta-dependent factor is delta's denominator, and that
-        factor."""
-        num, den = delta.numerator, delta.denominator
-        y = [v * den for v in x]
-        y[a] -= num
-        y[b] += num
-        unit = scale * den
-        curve = ExactLorenz(y, unit, d)
-        return ([curve.at(c) * tscale - v * unit
-                 for c, v in zip(target.xs, q_at)], den)
+        return _slacks(x, scale, d, target, q_at, a, b, delta)
 
     s_hi, k_hi = slack(delta_hi)
     if min(s_hi) >= 0:
@@ -161,21 +167,25 @@ def _dominance_cap(x, scale, d, target, q_at, a, b, delta_hi):
             if den and 0 < num and num * hi_den < hi_num * den:
                 crits.add(Fraction(num, den))
     grid = [0] + sorted(crits) + [delta_hi]
-    best = 0
-    s0, k0 = slack(0)
+    s0, k0 = slack(0) if s0 is None else s0()
     for d0, d1 in zip(grid, grid[1:]):
         if min(s0) < 0:
             break
         s1, k1 = (s_hi, k_hi) if d1 == delta_hi else slack(d1)
-        roots = [d0 + (d1 - d0) * Fraction(u * k1, u * k1 - v * k0)
-                 for u, v in zip(s0, s1) if v < 0]
-        if roots:
-            best = min(roots)
+        falling = [(u, v) for u, v in zip(s0, s1) if v < 0]
+        if falling:
+            u, v = falling[0]
+            for u1, v1 in falling:
+                if u1 * v > u * v1:
+                    u, v = u1, v1
+            if not u:
+                return Fraction(d0)
+            best = d0 + (d1 - d0) * Fraction(u * k1, u * k1 - v * k0)
+            if min(slack(best)[0]) >= 0:
+                return best
             break
-        best, s0, k0 = d1, s1, k1
-    if min(slack(best)[0]) < 0:
-        raise SynthesisError("internal: dominance cap computation failed")
-    return best
+        s0, k0 = s1, k1
+    raise SynthesisError("internal: dominance cap computation failed")
 
 
 class _Unreachable(Exception):
@@ -229,7 +239,9 @@ class _Run:
     """The state of one phase or greedy run: the populations ``x`` and the
     target ``q`` as integer numerators over ``scale``, and the transfers so
     far.  ``target`` is q's integer curve and ``q_at`` its values at its
-    elbows; ``w[i] = lcm(d)/d_i`` turns a numerator into a ratio key."""
+    elbows; ``w[i] = lcm(d)/d_i`` turns a numerator into a ratio key.
+    ``s0`` holds the state's slacks over the target (``_slacks``) once a
+    dominance cap has read them, until the next move."""
 
     def __init__(self, P, Q, scale, d, target, q_at):
         self.x, self.q, self.scale = list(P), list(Q), scale
@@ -237,6 +249,7 @@ class _Run:
         lam = math.lcm(*d)
         self.w = [lam // di for di in d]
         self.transfers = []
+        self.s0 = None
 
     def key(self, i):
         """An integer proportional to the ratio x_i/g_i."""
@@ -245,14 +258,21 @@ class _Run:
     def feas_cap(self, a, b):
         return _feas_cap(self.x, self.d, a, b)
 
+    def slacks(self):
+        if self.s0 is None:
+            self.s0 = _slacks(self.x, self.scale, self.d, self.target,
+                              self.q_at, 0, 0, 0)
+        return self.s0
+
     def dominance_cap(self, a, b, delta):
         return _dominance_cap(self.x, self.scale, self.d, self.target,
-                              self.q_at, a, b, delta)
+                              self.q_at, a, b, delta, self.slacks)
 
     def move(self, a, b, delta, origin):
         """Record and make the transfer of delta (units of ``1/scale``)
         from a to b, first rescaling by delta's denominator when it has
         one; the scale is then reduced by the common factor."""
+        self.s0 = None
         curve = ExactLorenz(self.x, self.scale, self.d)
         rank = curve.order.index
         j_ex, j_df = curve.xs[rank(a) + 1], curve.xs[rank(b)] + 1
@@ -416,7 +436,7 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
         return EdpSequence((), (), relabel_in, relabel_out)
 
     P, Q, scale, d = source.nums, target.nums, source.scale, ctx.d
-    q_at = [target.at(c) for c in target.xs]
+    q_at = target.values(target.xs)
 
     def run():
         return _Run(P, Q, scale, d, target, q_at)

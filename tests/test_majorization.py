@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from thermo_ops import (DomainError, beta_order, embed,
                         thermo_majorizes_abs, thermo_majorizes_curve,
                         thermo_majorizes_embedded, unembed)
 from thermo_ops.linprog import gibbs_map_exists
-from thermo_ops.majorization import _abs_majorize
+from thermo_ops.majorization import _abs_majorize, exact_lorenz
 
 from conftest import rand_ctx, rand_pop
 
@@ -136,7 +137,8 @@ class TestAbsSweep:
                 for k in {0, *r, *s})
             for slack in {0, critical, critical - 1,
                           rng.randint(-top, top)}:
-                got = _abs_majorize(r, s, d, slack)
+                got = _abs_majorize(sorted(zip(r, d)), sorted(zip(s, d)),
+                                    slack)
                 assert got == abs_majorize_per_kink(r, s, d, slack), \
                     (r, s, d, slack)
                 verdicts[got] += 1
@@ -267,20 +269,63 @@ def _criterion_1_pairs(seed, count):
         yield ctx, p, q
 
 
+def _tied_pairs(seed, count):
+    """Contexts with D <= 12, equal weights allowed, and populations that
+    are a few small multiples of the weights, so that ratio keys repeat
+    within p, within q and at levels of different weight."""
+    rng = random.Random(seed)
+
+    def population(ctx):
+        c = [0] * ctx.n
+        while not any(c):
+            c = [rng.randint(0, 3) for _ in range(ctx.n)]
+        total = sum(ci * di for ci, di in zip(c, ctx.d))
+        return tuple(F(ci * di, total) for ci, di in zip(c, ctx.d))
+
+    for _ in range(count):
+        ctx = rand_ctx(rng, nmax=5, dmax_total=12, distinct=False)
+        yield ctx, population(ctx), population(ctx)
+
+
 def _floats(x):
     return tuple(float(v) for v in x)
 
 
 class TestIntegerKernel:
     def test_block_embedded_equals_literal_embedding(self):
+        """The embedded and abs routes read the curves' beta-ordered blocks,
+        whose equal keys may come in any order; both against the literal
+        embedding, on the criterion-1 pairs and on pairs full of ties."""
         seen = set()
-        for ctx, p, q in _criterion_1_pairs(31, 300):
+        tied = 0
+        for ctx, p, q in itertools.chain(_criterion_1_pairs(31, 300),
+                                         _tied_pairs(53, 300)):
+            keys = {(pi / di, di) for pi, di in zip(p, ctx.d)}
+            tied += len({k for k, _ in keys}) < len(keys)
             for a, b in ((p, q), (_floats(p), _floats(q))):
                 verdict = thermo_majorizes_embedded(a, b, ctx)
                 assert verdict == majorizes_classical(embed(a, ctx),
                                                       embed(b, ctx))
+                assert thermo_majorizes_abs(a, b, ctx) == verdict
                 seen.add((type(a[0]), verdict))
         assert seen == {(t, v) for t in (F, float) for v in (True, False)}
+        # equal ratio keys at levels of different weight
+        assert tied >= 100
+
+    def test_values_sweep_equals_at(self):
+        """``values`` reads ascending slots (0, repeats and the last slot
+        among them) as ``at`` reads each, and both are the literal curve."""
+        rng = random.Random(59)
+        for ctx, p, _ in _criterion_1_pairs(61, 200):
+            curve = exact_lorenz(p, ctx)
+            points = sorted([0, ctx.D, *curve.xs[1:-1], *(
+                rng.randint(0, ctx.D) for _ in range(6))])
+            got = curve.values(points)
+            assert got == [curve.at(x) for x in points]
+            literal = lorenz_curve(p, ctx)
+            unit = curve.scale * curve.lam
+            assert [F(v, unit) for v in got] == [
+                literal.evaluate(F(x, ctx.D)) for x in points]
 
     def test_witness_equals_evaluate_reference(self):
         hits = 0

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import random
 import tracemalloc
@@ -10,9 +11,11 @@ from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         is_detailed_balanced, make_edp_step, synthesize,
                         thermo_majorizes, thermo_transposition,
                         validate_stochastic, verify_sequence)
-from thermo_ops.majorization import _scaled, exact_lorenz
-from thermo_ops.synthesis import (_dominance_cap, _feas_cap, _replay,
-                                  _synth_aligned)
+from thermo_ops import synthesis
+from thermo_ops.majorization import ExactLorenz, _curves, _scaled, exact_lorenz
+from thermo_ops.synthesis import (_dominance_cap, _feas_cap,
+                                  _greedy_balanced, _replay, _Run,
+                                  _run_phases, _synth_aligned, _Unreachable)
 
 from conftest import rand_ctx, rand_edp_image, rand_plt_image, rand_pop
 
@@ -199,6 +202,76 @@ class TestSynthesize:
         assert seq.relabel_out == beta_order(q, seven_ctx).perm
 
 
+def dominance_cap_reference(x, scale, d, target, q_at, a, b, delta_hi):
+    """Reference for ``_dominance_cap``: every slack vector built afresh
+    from the shifted curve, each elbow read by ``ExactLorenz.at``, one
+    ``Fraction`` root per falling elbow, and the state at the returned cap
+    checked anew."""
+    n = len(x)
+    tscale = target.scale
+
+    def slack(delta):
+        num, den = delta.numerator, delta.denominator
+        y = [v * den for v in x]
+        y[a] -= num
+        y[b] += num
+        unit = scale * den
+        curve = ExactLorenz(y, unit, d)
+        return ([curve.at(c) * tscale - v * unit
+                 for c, v in zip(target.xs, q_at)], den)
+
+    s_hi, k_hi = slack(delta_hi)
+    if min(s_hi) >= 0:
+        return delta_hi
+    hi_num, hi_den = delta_hi.numerator, delta_hi.denominator
+    crits = set()
+    for j in range(n):
+        for i, s in ((a, -1), (b, 1)):
+            if j == i:
+                continue
+            sj = -1 if j == a else (1 if j == b else 0)
+            num = x[j] * d[i] - x[i] * d[j]
+            den = s * d[j] - sj * d[i]
+            if den < 0:
+                num, den = -num, -den
+            if den and 0 < num and num * hi_den < hi_num * den:
+                crits.add(Fraction(num, den))
+    grid = [0] + sorted(crits) + [delta_hi]
+    best = 0
+    s0, k0 = slack(0)
+    for d0, d1 in zip(grid, grid[1:]):
+        if min(s0) < 0:
+            break
+        s1, k1 = (s_hi, k_hi) if d1 == delta_hi else slack(d1)
+        roots = [d0 + (d1 - d0) * Fraction(u * k1, u * k1 - v * k0)
+                 for u, v in zip(s0, s1) if v < 0]
+        if roots:
+            best = min(roots)
+            break
+        best, s0, k0 = d1, s1, k1
+    if min(slack(best)[0]) < 0:
+        raise SynthesisError("internal: dominance cap computation failed")
+    return best
+
+
+def run_every_strategy(p, q, ctx):
+    """Each phase run and the greedy run that ``synthesize`` would try on
+    (p, q), each to its end or its give-up."""
+    source, target, _ = _curves(p, q, ctx, None)
+    q_at = target.values(target.xs)
+    tau = target.order
+    for strategy in (lambda run: _run_phases(run, tau[:-1], True),
+                     lambda run: _run_phases(run, tau[1:][::-1], True),
+                     lambda run: _run_phases(run, tau[:-1], False),
+                     lambda run: _run_phases(run, tau[1:][::-1], False),
+                     _greedy_balanced):
+        try:
+            strategy(_Run(source.nums, target.nums, source.scale, ctx.d,
+                          target, q_at))
+        except _Unreachable:
+            pass
+
+
 class TestDominanceCap:
     """The cap against a grid scan of the same shifted states.
 
@@ -253,6 +326,37 @@ class TestDominanceCap:
                 capped += 1
         # both outcomes, and a dip inside [0, delta_hi], are exercised
         assert capped >= 10 and full >= 10 and dipped >= 1
+
+    def test_mid_run_caps_match_reference(self, monkeypatch):
+        """Every cap asked for inside real phase and greedy runs, where the
+        state has moved since its slacks were last read, equals the
+        reference's, in value and in type."""
+        outcomes = collections.Counter()
+        cap = synthesis._dominance_cap
+
+        def checked(x, scale, d, target, q_at, a, b, delta_hi, s0=None):
+            got = cap(x, scale, d, target, q_at, a, b, delta_hi, s0)
+            want = dominance_cap_reference(x, scale, d, target, q_at, a, b,
+                                           delta_hi)
+            assert (got, type(got)) == (want, type(want))
+            outcomes["full" if got == delta_hi else
+                     "zero" if got == 0 else "root"] += 1
+            return got
+
+        monkeypatch.setattr(synthesis, "_dominance_cap", checked)
+        rng = random.Random(1409)
+        for trial in range(60):
+            ctx = rand_ctx(rng, nmax=6, dmax_total=60)
+            p = rand_pop(rng, ctx.n)
+            image = rand_edp_image if trial % 2 else rand_plt_image
+            run_every_strategy(p, image(rng, p, ctx, rng.randint(1, 12)),
+                               ctx)
+        for d, p, q in GREEDY_PAIRS:
+            run_every_strategy(p, q, gibbs_context_from_weights(
+                [F(di, sum(d)) for di in d]))
+        # delta_hi at once, a root at the state itself, and one inside
+        assert outcomes["full"] >= 1000 and outcomes["zero"] >= 1000
+        assert outcomes["root"] >= 100
 
 
 def slot_level_aligned(p, q, d, order):
