@@ -36,12 +36,16 @@ def _fail(code: str, message: str, status: int) -> int:
     return status
 
 
-def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=1) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """Writes text atomically to ``out_path``, or to stdout without one."""
     if out_path:
         tio.write_text_atomic(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj, out_path: str | None) -> None:
+    _write(json.dumps(obj, indent=1) + "\n", out_path)
 
 
 def _load_ctx(args):
@@ -161,11 +165,7 @@ def _cmd_jc_region(args) -> int:
 
     from .jaynes_cummings import region_sweep
     grid = np.arange(args.beta_min, args.beta_max + args.step / 2, args.step)
-    text = tio.region_csv_text(region_sweep(grid))
-    if args.out:
-        tio.write_text_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(tio.region_csv_text(region_sweep(grid)), args.out)
     return 0
 
 

@@ -440,7 +440,7 @@ def relative_entropy(x, ctx: GibbsContext,
     """S(x||g) in nats, with 0 log 0 = 0; zero exactly at the thermal state."""
     xv = as_values(x)
     _check_dims(ctx, xv)
-    if abs(sum(xv) - 1) > auto_tol(tol, xv):
+    if abs(sum(xv) - 1) > norm_tol(auto_tol(tol, xv), xv):
         raise DomainError("relative entropy expects a normalised population")
     total = 0.0
     for xi, gi in zip(xv, ctx.g):

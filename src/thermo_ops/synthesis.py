@@ -107,104 +107,22 @@ def compose_edps_same_pair(a: EdpStep, b: EdpStep,
 # denominator, and then the state is rescaled before the move.  ``target``
 # is the integer Lorenz curve of q from the majorisation kernel.
 
-def _feas_cap(x, d, a, b):
-    """Largest net mass one step can move from a to b (needs r_a > r_b),
-    in the units of the numerators x: min(g_a, g_b) (x_a/g_a - x_b/g_b)
-    with g = d/D."""
-    da, db = d[a], d[b]
-    return Fraction(min(da, db) * (x[a] * db - x[b] * da), da * db)
-
-
-def _slacks(x, scale, d, target, q_at, a, b, delta):
-    """Slacks of the shifted state (x - delta e_a + delta e_b) over the
-    target at its elbows, as integers over a denominator whose only
-    delta-dependent factor is delta's denominator, and that factor."""
-    num, den = delta.numerator, delta.denominator
-    y = [v * den for v in x]
-    y[a] -= num
-    y[b] += num
-    unit, tscale = scale * den, target.scale
-    values = ExactLorenz(y, unit, d).values(target.xs)
-    return [c * tscale - v * unit for c, v in zip(values, q_at)], den
-
-
-def _dominance_cap(x, scale, d, target, q_at, a, b, delta_hi, s0=None):
-    """delta_hi when the shifted state (x - m e_a + m e_b) at m = delta_hi
-    thermo-majorises the target; otherwise the largest m such that every
-    shifted state on [0, m] does.  x are numerators over ``scale``, the
-    masses m are in units of ``1/scale``, d are the slot counts, ``q_at``
-    holds the target's values at its own elbows (``target.values``) and
-    ``s0``, when given, returns the state's own ``_slacks`` (m = 0).
-
-    Between ratio-crossing values of m the beta-order is fixed, so the slack
-    of the shifted curve over the target at each target elbow is affine in m
-    and the binding m is a root of the line through the slacks at the two
-    ends of one regime.  Checking the target elbows suffices: between them
-    the shifted curve is concave and the target linear.  The smallest root
-    is chosen on integers, the elbow with the least ratio of its slacks at
-    the two ends; a zero slack at the regime's start is a root there, whose
-    slacks are known, so only an interior root is checked anew.
-    """
-    n = len(x)
-
-    def slack(delta):
-        return _slacks(x, scale, d, target, q_at, a, b, delta)
-
-    s_hi, k_hi = slack(delta_hi)
-    if min(s_hi) >= 0:
-        return delta_hi
-    hi_num, hi_den = delta_hi.numerator, delta_hi.denominator
-    crits = set()
-    for j in range(n):
-        for i, s in ((a, -1), (b, 1)):
-            if j == i:
-                continue
-            sj = -1 if j == a else (1 if j == b else 0)
-            num = x[j] * d[i] - x[i] * d[j]
-            den = s * d[j] - sj * d[i]
-            if den < 0:
-                num, den = -num, -den
-            if den and 0 < num and num * hi_den < hi_num * den:
-                crits.add(Fraction(num, den))
-    grid = [0] + sorted(crits) + [delta_hi]
-    s0, k0 = slack(0) if s0 is None else s0()
-    for d0, d1 in zip(grid, grid[1:]):
-        if min(s0) < 0:
-            break
-        s1, k1 = (s_hi, k_hi) if d1 == delta_hi else slack(d1)
-        falling = [(u, v) for u, v in zip(s0, s1) if v < 0]
-        if falling:
-            u, v = falling[0]
-            for u1, v1 in falling:
-                if u1 * v > u * v1:
-                    u, v = u1, v1
-            if not u:
-                return Fraction(d0)
-            best = d0 + (d1 - d0) * Fraction(u * k1, u * k1 - v * k0)
-            if min(slack(best)[0]) >= 0:
-                return best
-            break
-        s0, k0 = s1, k1
-    raise SynthesisError("internal: dominance cap computation failed")
-
-
 class _Unreachable(Exception):
     pass
 
 
-def _synth_aligned(P, Q, scale, d, order, order_q):
+def _synth_aligned(source, target):
     """Classical transfer loop on the level vector for beta-aligned pairs
-    (numerators P and Q over ``scale``, beta-orders ``order`` of p and
-    ``order_q`` of q); see module docstring.
+    (the curves of p and q over one scale); see module docstring.
 
     Over ``scale * lcm(d)`` every per-slot excess (p_i - q_i)/d_i and every
     slot value is an integer, so the whole run stays on that one scale."""
-    if order_q != order:
+    order, d, lam = source.order, source.d, source.lam
+    if target.order != order:
         raise _Unreachable("pair is not beta-aligned")
-    lam = math.lcm(*d)
-    unit = scale * lam
-    x = [v * lam for v in P]
-    q = [v * lam for v in Q]
+    unit = source.scale * lam
+    x = [v * lam for v in source.nums]
+    q = [v * lam for v in target.nums]
     e = [(xi - qi) // di for xi, qi, di in zip(x, q, d)]
     offset, start = {}, 0
     for i in order:
@@ -240,14 +158,14 @@ class _Run:
     target ``q`` as integer numerators over ``scale``, and the transfers so
     far.  ``target`` is q's integer curve and ``q_at`` its values at its
     elbows; ``w[i] = lcm(d)/d_i`` turns a numerator into a ratio key.
-    ``s0`` holds the state's slacks over the target (``_slacks``) once a
-    dominance cap has read them, until the next move."""
+    ``s0`` holds the state's slacks over the target (``slacks`` at 0) once
+    a dominance cap has read them, until the next move."""
 
-    def __init__(self, P, Q, scale, d, target, q_at):
-        self.x, self.q, self.scale = list(P), list(Q), scale
-        self.d, self.target, self.q_at = d, target, q_at
-        lam = math.lcm(*d)
-        self.w = [lam // di for di in d]
+    def __init__(self, source, target, q_at):
+        self.x, self.q = list(source.nums), list(target.nums)
+        self.scale, self.d = source.scale, source.d
+        self.target, self.q_at = target, q_at
+        self.w = [source.lam // di for di in self.d]
         self.transfers = []
         self.s0 = None
 
@@ -256,17 +174,86 @@ class _Run:
         return self.x[i] * self.w[i]
 
     def feas_cap(self, a, b):
-        return _feas_cap(self.x, self.d, a, b)
+        """Largest net mass one step can move from a to b (needs r_a > r_b),
+        in the units of the numerators x: min(g_a, g_b) (x_a/g_a - x_b/g_b)
+        with g = d/D."""
+        da, db = self.d[a], self.d[b]
+        return Fraction(min(da, db) * (self.x[a] * db - self.x[b] * da),
+                        da * db)
 
-    def slacks(self):
-        if self.s0 is None:
-            self.s0 = _slacks(self.x, self.scale, self.d, self.target,
-                              self.q_at, 0, 0, 0)
-        return self.s0
+    def slacks(self, a, b, delta):
+        """Slacks of the shifted state (x - delta e_a + delta e_b) over the
+        target at its elbows, as integers over a denominator whose only
+        delta-dependent factor is delta's denominator, and that factor.
+        The state's own (delta == 0) are kept in ``s0``."""
+        if not delta and self.s0 is not None:
+            return self.s0
+        num, den = delta.numerator, delta.denominator
+        y = [v * den for v in self.x]
+        y[a] -= num
+        y[b] += num
+        unit, tscale = self.scale * den, self.target.scale
+        values = ExactLorenz(y, unit, self.d).values(self.target.xs)
+        out = [c * tscale - v * unit for c, v in zip(values, self.q_at)], den
+        if not delta:
+            self.s0 = out
+        return out
 
-    def dominance_cap(self, a, b, delta):
-        return _dominance_cap(self.x, self.scale, self.d, self.target,
-                              self.q_at, a, b, delta, self.slacks)
+    def dominance_cap(self, a, b, delta_hi):
+        """delta_hi when the shifted state (x - m e_a + m e_b) at m = delta_hi
+        thermo-majorises the target; otherwise the largest m such that every
+        shifted state on [0, m] does.  The masses m are in units of
+        ``1/scale``.
+
+        Between ratio-crossing values of m the beta-order is fixed, so the
+        slack of the shifted curve over the target at each target elbow is
+        affine in m and the binding m is a root of the line through the
+        slacks at the two ends of one regime.  Checking the target elbows
+        suffices: between them the shifted curve is concave and the target
+        linear.  The smallest root is chosen on integers, the elbow with the
+        least ratio of its slacks at the two ends; a zero slack at the
+        regime's start is a root there, whose slacks are known, so only an
+        interior root is checked anew.
+        """
+        x, d = self.x, self.d
+        n = len(x)
+        s_hi, k_hi = self.slacks(a, b, delta_hi)
+        if min(s_hi) >= 0:
+            return delta_hi
+        hi_num, hi_den = delta_hi.numerator, delta_hi.denominator
+        crits = set()
+        for j in range(n):
+            for i, s in ((a, -1), (b, 1)):
+                if j == i:
+                    continue
+                sj = -1 if j == a else (1 if j == b else 0)
+                num = x[j] * d[i] - x[i] * d[j]
+                den = s * d[j] - sj * d[i]
+                if den < 0:
+                    num, den = -num, -den
+                if den and 0 < num and num * hi_den < hi_num * den:
+                    crits.add(Fraction(num, den))
+        grid = [0] + sorted(crits) + [delta_hi]
+        s0, k0 = self.slacks(a, b, 0)
+        for d0, d1 in zip(grid, grid[1:]):
+            if min(s0) < 0:
+                break
+            s1, k1 = ((s_hi, k_hi) if d1 == delta_hi
+                      else self.slacks(a, b, d1))
+            falling = [(u, v) for u, v in zip(s0, s1) if v < 0]
+            if falling:
+                u, v = falling[0]
+                for u1, v1 in falling:
+                    if u1 * v > u * v1:
+                        u, v = u1, v1
+                if not u:
+                    return Fraction(d0)
+                best = d0 + (d1 - d0) * Fraction(u * k1, u * k1 - v * k0)
+                if min(self.slacks(a, b, best)[0]) >= 0:
+                    return best
+                break
+            s0, k0 = s1, k1
+        raise SynthesisError("internal: dominance cap computation failed")
 
     def move(self, a, b, delta, origin):
         """Record and make the transfer of delta (units of ``1/scale``)
@@ -367,6 +354,7 @@ def _greedy_balanced(run):
         if len(run.transfers) > 8 * n * n:
             raise _Unreachable("greedy step limit reached")
         x, q, scale = run.x, run.q, run.scale
+        err0 = sum(abs(x[i] - q[i]) for i in range(n))
         best = None
         for a in range(n):
             for b in range(n):
@@ -394,7 +382,6 @@ def _greedy_balanced(run):
                     y = list(x)
                     y[a] -= delta
                     y[b] += delta
-                    err0 = sum(abs(x[i] - q[i]) for i in range(n))
                     err = sum(abs(y[i] - q[i]) for i in range(n))
                     if err >= err0:
                         continue
@@ -421,8 +408,6 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
     ctx.require_rational()
     pv = coerce_exact(as_values(p), "p")
     qv = coerce_exact(as_values(q), "q")
-    if len(pv) != ctx.n or len(qv) != ctx.n:
-        raise DomainError("population and context dimensions differ")
     source, target, _ = _curves(pv, qv, ctx, None)
     witness = _witness(lorenz_violation(source, target), source.scale, ctx,
                        False)
@@ -435,15 +420,13 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
     if pv == qv:
         return EdpSequence((), (), relabel_in, relabel_out)
 
-    P, Q, scale, d = source.nums, target.nums, source.scale, ctx.d
     q_at = target.values(target.xs)
 
     def run():
-        return _Run(P, Q, scale, d, target, q_at)
+        return _Run(source, target, q_at)
 
     tau = relabel_out
-    strategies = [("aligned",
-                   lambda: _synth_aligned(P, Q, scale, d, relabel_in, tau))]
+    strategies = [("aligned", lambda: _synth_aligned(source, target))]
     for asc, way in ((True, "ascending"), (False, "descending")):
         strategies.append((f"phase-{way}", lambda a=asc: _run_phases(
             run(), tau[:-1], a)))
@@ -471,7 +454,8 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
             f"internal: produced {len(transfers)} steps, above the D={ctx.D} "
             "bound")
 
-    steps, records = _replay(transfers, P, Q, scale, ctx, group)
+    steps, records = _replay(transfers, source.nums, target.nums,
+                             source.scale, ctx, group)
     return EdpSequence(steps, records, relabel_in, relabel_out)
 
 
@@ -487,13 +471,12 @@ def _replay(transfers, P, Q, scale, ctx: GibbsContext, group: bool):
     d = ctx.d
     unit = math.lcm(scale, *(t[2].denominator for t in transfers))
     x = [v * (unit // scale) for v in P]
-    steps: list[EdpStep] = []
     records: list[StepRecord] = []
-    run = None  # (lo, hi, num, den) of the run being composed
+    runs = []  # (lo, hi, num, den) of each step, a same-pair run composed
     for a, b, delta, j_ex, j_df, lam, origin in transfers:
         lo, hi = (a, b) if d[a] > d[b] else (b, a)
         mass = delta.numerator * (unit // delta.denominator)
-        # mass / _feas_cap, with the cap over ``unit``
+        # mass / _Run.feas_cap, with the cap over ``unit``
         num, den = mass * d[lo], x[a] * d[b] - x[b] * d[a]
         if den <= 0 or not 0 <= num <= den:
             raise DomainError("p_down must lie in [0, 1]")
@@ -502,26 +485,20 @@ def _replay(transfers, P, Q, scale, ctx: GibbsContext, group: bool):
         records.append(StepRecord(lo, hi, delta, j_ex, j_df, lam, origin))
         x[a] -= mass
         x[b] += mass
-        if not group:
-            steps.append(make_edp_step(ctx, lo, hi, Fraction(num, den)))
-        elif run is not None and run[:2] == (lo, hi):
-            _, _, n0, d0 = run
+        if group and runs and runs[-1][:2] == (lo, hi):
+            _, _, n0, d0 = runs[-1]
             dl = d[lo]
             num = (n0 * den + num * d0) * dl - n0 * num * (dl + d[hi])
             den *= d0 * dl
             common = math.gcd(num, den)
-            run = (lo, hi, num // common, den // common)
+            runs[-1] = (lo, hi, num // common, den // common)
         else:
-            if run is not None:
-                steps.append(make_edp_step(ctx, run[0], run[1],
-                                           Fraction(run[2], run[3])))
-            run = (lo, hi, num, den)
-    if run is not None:
-        steps.append(make_edp_step(ctx, run[0], run[1],
-                                   Fraction(run[2], run[3])))
+            runs.append((lo, hi, num, den))
+    steps = tuple(make_edp_step(ctx, lo, hi, Fraction(num, den))
+                  for lo, hi, num, den in runs)
     if x != [v * (unit // scale) for v in Q]:
         raise SynthesisError("internal: replay of the found sequence failed")
-    return tuple(steps), tuple(records)
+    return steps, tuple(records)
 
 
 @dataclass(frozen=True)

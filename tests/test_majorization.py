@@ -7,13 +7,14 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from thermo_ops import (DomainError, beta_order, embed,
-                        gibbs_context_from_weights, lorenz_curve,
-                        make_gibbs_context, majorization_witness,
-                        majorizes_classical, perpetuum_rate,
-                        relative_entropy, thermo_majorizes,
-                        thermo_majorizes_abs, thermo_majorizes_curve,
-                        thermo_majorizes_embedded, unembed)
+from thermo_ops import (DomainError, beta_order, cone_vertices, embed,
+                        gibbs_context_from_weights, is_thermalisation_of,
+                        lorenz_curve, make_gibbs_context,
+                        majorization_witness, majorizes_classical,
+                        perpetuum_rate, relative_entropy, synthesize,
+                        thermo_majorizes, thermo_majorizes_abs,
+                        thermo_majorizes_curve, thermo_majorizes_embedded,
+                        unembed)
 from thermo_ops.linprog import gibbs_map_exists
 from thermo_ops.majorization import _abs_majorize, exact_lorenz
 
@@ -443,6 +444,15 @@ class TestEntropyAndRate:
             relative_entropy(short, two_thirds_ctx)
         assert relative_entropy((0.5, 0.5 - 1e-12), two_thirds_ctx) > 0
 
+    def test_float_norm_floor_at_zero_tol(self):
+        # the entries sum to 1 - 2^-53 in floats; thermo_majorizes accepts
+        # the same vector at tol=0, as the float floor of norm_tol allows
+        ctx = gibbs_context_from_weights([F(1, 2), F(1, 3), F(1, 6)])
+        x = (0.3, 0.6, 0.09999999999999998)
+        assert sum(x) != 1
+        assert thermo_majorizes(x, x, ctx, tol=0)
+        assert relative_entropy(x, ctx, tol=0) > 0
+
     def test_dimension_mismatch(self):
         from thermo_ops import gibbs_context_from_weights
         ctx = gibbs_context_from_weights([F(1, 2), F(1, 3), F(1, 6)])
@@ -459,3 +469,19 @@ class TestEntropyAndRate:
     def test_rate_needs_positive_work(self, two_thirds_ctx):
         with pytest.raises(DomainError):
             perpetuum_rate(two_thirds_ctx.g, two_thirds_ctx, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, q, ctx: synthesize(p, q, ctx),
+    lambda p, q, ctx: thermo_majorizes(p, q, ctx),
+    lambda p, q, ctx: majorization_witness(p, q, ctx),
+    lambda p, q, ctx: is_thermalisation_of(p, q, ctx),
+    lambda p, q, ctx: cone_vertices(p, ctx),
+], ids=["synthesize", "thermo_majorizes", "majorization_witness",
+        "is_thermalisation_of", "cone_vertices"])
+def test_short_population_is_a_dimension_error(call):
+    ctx = gibbs_context_from_weights([F(1, 2), F(1, 3), F(1, 6)])
+    p, q = (F(1, 2), F(1, 2)), (F(1, 3), F(1, 3), F(1, 3))
+    with pytest.raises(DomainError,
+                       match="^population and context dimensions differ$"):
+        call(p, q, ctx)

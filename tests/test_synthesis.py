@@ -11,10 +11,8 @@ from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         is_detailed_balanced, make_edp_step, synthesize,
                         thermo_majorizes, thermo_transposition,
                         validate_stochastic, verify_sequence)
-from thermo_ops import synthesis
-from thermo_ops.majorization import ExactLorenz, _curves, _scaled, exact_lorenz
-from thermo_ops.synthesis import (_dominance_cap, _feas_cap,
-                                  _greedy_balanced, _replay, _Run,
+from thermo_ops.majorization import ExactLorenz, _curves
+from thermo_ops.synthesis import (_greedy_balanced, _replay, _Run,
                                   _run_phases, _synth_aligned, _Unreachable)
 
 from conftest import rand_ctx, rand_edp_image, rand_plt_image, rand_pop
@@ -203,7 +201,7 @@ class TestSynthesize:
 
 
 def dominance_cap_reference(x, scale, d, target, q_at, a, b, delta_hi):
-    """Reference for ``_dominance_cap``: every slack vector built afresh
+    """Reference for ``_Run.dominance_cap``: every slack vector built afresh
     from the shifted curve, each elbow read by ``ExactLorenz.at``, one
     ``Fraction`` root per falling elbow, and the state at the returned cap
     checked anew."""
@@ -266,8 +264,7 @@ def run_every_strategy(p, q, ctx):
                      lambda run: _run_phases(run, tau[1:][::-1], False),
                      _greedy_balanced):
         try:
-            strategy(_Run(source.nums, target.nums, source.scale, ctx.d,
-                          target, q_at))
+            strategy(_Run(source, target, q_at))
         except _Unreachable:
             pass
 
@@ -293,14 +290,16 @@ class TestDominanceCap:
             p = rand_pop(rng, ctx.n)
             image = rand_edp_image if trial % 2 else rand_plt_image
             q = image(rng, p, ctx, rng.randint(1, 10))
-            target = exact_lorenz(q, ctx)
             pairs = [(a, b) for a in range(ctx.n) for b in range(ctx.n)
                      if g[a] != g[b] and p[a] / g[a] > p[b] / g[b]]
             if not pairs:
                 continue
             a, b = pairs[rng.randrange(len(pairs))]
-            (x,), scale = _scaled(p)
-            cap = _feas_cap(x, ctx.d, a, b)
+            source, target, _ = _curves(p, q, ctx, None)
+            q_at = [target.at(c) for c in target.xs]
+            run = _Run(source, target, q_at)
+            scale = source.scale
+            cap = run.feas_cap(a, b)
             delta_hi = cap / scale
 
             def shifted(d):
@@ -309,9 +308,7 @@ class TestDominanceCap:
                 y[b] += d
                 return y
 
-            q_at = [target.at(c) for c in target.xs]
-            d = F(_dominance_cap(x, scale, ctx.d, target, q_at, a, b, cap),
-                  scale)
+            d = F(run.dominance_cap(a, b, cap), scale)
             assert 0 <= d <= delta_hi
             assert thermo_majorizes(shifted(d), q, ctx)
             fails = [k for k in range(self.GRID + 1)
@@ -332,18 +329,19 @@ class TestDominanceCap:
         state has moved since its slacks were last read, equals the
         reference's, in value and in type."""
         outcomes = collections.Counter()
-        cap = synthesis._dominance_cap
+        cap = _Run.dominance_cap
 
-        def checked(x, scale, d, target, q_at, a, b, delta_hi, s0=None):
-            got = cap(x, scale, d, target, q_at, a, b, delta_hi, s0)
-            want = dominance_cap_reference(x, scale, d, target, q_at, a, b,
+        def checked(run, a, b, delta_hi):
+            got = cap(run, a, b, delta_hi)
+            want = dominance_cap_reference(run.x, run.scale, run.d,
+                                           run.target, run.q_at, a, b,
                                            delta_hi)
             assert (got, type(got)) == (want, type(want))
             outcomes["full" if got == delta_hi else
                      "zero" if got == 0 else "root"] += 1
             return got
 
-        monkeypatch.setattr(synthesis, "_dominance_cap", checked)
+        monkeypatch.setattr(_Run, "dominance_cap", checked)
         rng = random.Random(1409)
         for trial in range(60):
             ctx = rand_ctx(rng, nmax=6, dmax_total=60)
@@ -403,9 +401,7 @@ class TestAlignedLoop:
             compared += 1
             expected = slot_level_aligned(p, q, ctx.d, order)
             assert expected is not None
-            (x, y), scale = _scaled(p, q)
-            assert _synth_aligned(x, y, scale, ctx.d, order,
-                                  order) == expected
+            assert _synth_aligned(*_curves(p, q, ctx, None)[:2]) == expected
         assert compared >= 300
 
     def test_billion_slots_in_bounded_memory(self):
