@@ -472,10 +472,7 @@ class TestEntropyAndRate:
 
 
 @pytest.mark.parametrize("call", [
-    lambda p, q, ctx: synthesize(p, q, ctx),
-    lambda p, q, ctx: thermo_majorizes(p, q, ctx),
-    lambda p, q, ctx: majorization_witness(p, q, ctx),
-    lambda p, q, ctx: is_thermalisation_of(p, q, ctx),
+    synthesize, thermo_majorizes, majorization_witness, is_thermalisation_of,
     lambda p, q, ctx: cone_vertices(p, ctx),
 ], ids=["synthesize", "thermo_majorizes", "majorization_witness",
         "is_thermalisation_of", "cone_vertices"])
