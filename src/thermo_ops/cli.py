@@ -8,7 +8,7 @@ Errors print one machine-parsable line to stderr:
 the options it reads; ``--tol`` is left unset by default, so the library's
 tolerance rule (``core.auto_tol``) decides in both modes.  Only ``io`` and
 the error types load with this module; each subcommand imports the modules
-it runs when it runs (numpy only for ``jc-*``, ``simulate``, ``--facets``).
+it runs when it runs (numpy only for ``jc-*`` and ``simulate``).
 ``jc-region`` refuses an invalid ``THERMO_OPS_THREADS`` (exit 2); a valid
 value has no effect, as the sweep is one batched search.
 """

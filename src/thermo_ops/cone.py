@@ -10,14 +10,15 @@ convex body.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (DomainError, GibbsContext, Number, ThermoPermutation,
-                   as_values, coerce_exact, has_float)
-from .majorization import (ExactLorenz, _dominates, as_number, exact_lorenz,
-                           slot_counts, thermo_majorizes)
+                   as_values, auto_tol, coerce_exact, has_float)
+from .majorization import (ExactLorenz, _dominates, _scaled, as_number,
+                           exact_lorenz, slot_counts, thermo_majorizes)
 
 
 @dataclass(frozen=True)
@@ -175,26 +176,88 @@ def hull_check(p, ctx: GibbsContext, samples: int = 500, seed: int = 0,
 def hull_facets(vertices: Sequence[Sequence[Number]]
                 ) -> tuple[tuple[float, ...], ...] | None:
     """Facet inequalities of the vertex set in the normalisation hyperplane
-    (float mode, n <= 4); None when the hull is degenerate."""
-    import numpy as np
-    from scipy.spatial import ConvexHull, QhullError
+    (each vertex's last entry dropped; n <= 4): one row ``(*a, b)`` per
+    facet, sorted, with ``a`` the unit outward normal and ``a . x + b <= 0``
+    on every vertex (the row format of Qhull's ``equations``).  None when
+    the hull is degenerate: at most n - 1 distinct points, or all of them
+    on one hyperplane.  No vertices, or vertices of unequal length, are a
+    DomainError.
 
-    pts = np.array([[float(v) for v in vert[:-1]] for vert in vertices])
-    n = pts.shape[1] + 1
+    For n = 3, 4 the facets are found exactly, in integers: the coordinates
+    go over one common denominator (a float converts exactly), every n - 1
+    distinct points span a candidate hyperplane, which is a facet when no
+    two points lie strictly on opposite sides of it, and each facet is
+    rounded to floats once.  Float vertices are rounded values themselves,
+    so a face of the cone can come out as slivers whose rows differ in the
+    last bits; by the tolerance rule (``core.auto_tol``) a row within
+    ``FLOAT_TOL`` of an earlier one is then dropped, and for exact vertices
+    only an equal row is.
+    """
+    verts = [as_values(v) for v in vertices]
+    if not verts:
+        raise DomainError("facet enumeration needs at least one vertex")
+    n = len(verts[0])
+    if any(len(v) != n for v in verts):
+        raise DomainError("vertices must all have the same length")
     if n > 4:
         raise DomainError("facet enumeration limited to n <= 4")
-    if len(pts) <= n - 1:
+    if n < 2:
         return None
     if n == 2:
-        lo, hi = float(pts.min()), float(pts.max())
+        xs = [float(v[0]) for v in verts]
+        lo, hi = min(xs), max(xs)
         if lo == hi:
             return None
         return ((1.0, -hi), (-1.0, lo))
-    try:
-        hull = ConvexHull(pts)
-    except (QhullError, ValueError):
-        return None
-    return tuple(tuple(float(c) for c in eq) for eq in hull.equations)
+    d = n - 1
+    nums, scale = _scaled(*(v[:-1] for v in verts))
+    # in the plane (d = 2) a point gets z = 0 and an edge's normal is its
+    # cross product with the z axis, so both dimensions share one loop
+    pts = sorted({tuple(p) + (0,) * (3 - d) for p in nums})
+    planes = set()
+    for a, b, *c in itertools.combinations(pts, d):
+        c = c[0] if c else (a[0], a[1], a[2] + 1)
+        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+        v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+        nx = u[1] * v[2] - u[2] * v[1]
+        ny = u[2] * v[0] - u[0] * v[2]
+        nz = u[0] * v[1] - u[1] * v[0]
+        off = -(nx * a[0] + ny * a[1] + nz * a[2])
+        side = 0
+        for x, y, z in pts:
+            s = nx * x + ny * y + nz * z + off
+            if s > 0:
+                if side < 0:
+                    break
+                side = 1
+            elif s < 0:
+                if side > 0:
+                    break
+                side = -1
+        else:
+            if side:  # else every point lies on it, or the normal is 0
+                row = (nx, ny, nz)[:d] + (off,)
+                g = math.gcd(*row) * -side  # outward: every point at <= 0
+                planes.add(tuple(r // g for r in row))
+    if not planes:
+        return None  # the points span no more than a hyperplane
+    tol = auto_tol(None, *verts)
+    rows = []
+    for row in sorted(_unit_row(row, scale) for row in planes):
+        if not any(max(abs(x - y) for x, y in zip(row, kept)) <= tol
+                   for kept in rows):
+            rows.append(row)
+    return tuple(rows)
+
+
+def _unit_row(row, scale: int) -> tuple[float, ...]:
+    """The float row ``(*a, b)`` of the integer facet ``row`` (a normal and
+    an offset over coordinates scaled by ``scale``), with ``|a| = 1``."""
+    *normal, off = row
+    top = max(abs(c) for c in normal)
+    a = [c / top for c in normal]  # int / int rounds once, for any size
+    norm = math.hypot(*a)
+    return (*(c / norm for c in a), off / (top * scale) / norm)
 
 
 def thermal_cone(p, ctx: GibbsContext, facets: bool = False) -> ThermalCone:

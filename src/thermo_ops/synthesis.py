@@ -91,7 +91,12 @@ def apply_edp(step: EdpStep, p, ctx: GibbsContext) -> tuple[Number, ...]:
 def compose_edps_same_pair(a: EdpStep, b: EdpStep,
                            ctx: GibbsContext) -> EdpStep:
     """Single step whose matrix equals (b after a); closure holds because
-    every 2x2 Gibbs-preserving stochastic matrix is detailed balanced."""
+    every 2x2 Gibbs-preserving stochastic matrix is detailed balanced.
+
+    ``synthesize`` does not call it: ``_replay`` composes a run of
+    same-pair steps on integer pairs instead.  It stays public, as the
+    operation on steps that callers compose themselves, and it is the
+    test oracle of that integer composition."""
     if (a.lo, a.hi) != (b.lo, b.hi):
         raise DomainError("steps act on different level pairs")
     z = 1 + a.up_factor(ctx)

@@ -266,6 +266,98 @@ class TestPlottingAids:
         assert abs(coords[2][1] - 3 ** 0.5 / 2) < 1e-12
 
 
+def facet_corpus():
+    """Seeded cones with n = 3, 4: exact sources in exact contexts, float
+    sources in exact contexts and float sources in float contexts."""
+    rng = random.Random(1616)
+    for trial in range(90):
+        n, kind = 3 + trial % 2, trial % 3
+        if kind == 2:
+            ctx = make_gibbs_context([rng.uniform(0, 3) for _ in range(n)],
+                                     None)
+        else:
+            ctx = rand_ctx(rng, nmin=n, nmax=n, dmax_total=40,
+                           distinct=trial % 5 > 0)
+        p = rand_pop(rng, n)
+        yield ctx, tuple(float(v) for v in p) if kind else p
+
+
+def affine_rank(points) -> int:
+    """Affine rank of exact points, by elimination on their differences."""
+    rows = [[b - a for a, b in zip(points[0], pt)] for pt in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[col] / pivot[col]
+            r[:] = [x - f * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+class TestFacetOracle:
+    """hull_facets against Qhull (scipy.spatial.ConvexHull)."""
+
+    def test_matches_qhull(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        sizes = set()
+        for ctx, p in facet_corpus():
+            n = ctx.n
+            vertices = cone_vertices(p, ctx)
+            rows = hull_facets(vertices)
+            pts = [[F(v) for v in vert[:-1]] for vert in vertices]
+            if len(vertices) < n:
+                assert rows is None
+                continue
+            qhull = spatial.ConvexHull([[float(v) for v in pt]
+                                        for pt in pts])
+            # the distinct planes are equal, and each row appears once
+            for eq in qhull.equations:
+                assert any(max(abs(a - b) for a, b in zip(eq, row)) < 1e-9
+                           for row in rows)
+            for row in rows:
+                assert any(max(abs(a - b) for a, b in zip(eq, row)) < 1e-9
+                           for eq in qhull.equations)
+            assert list(rows) == sorted(set(rows))
+            assert len(rows) <= 2 ** n - 2
+            for row in rows:
+                assert abs(sum(a * a for a in row[:-1]) - 1) < 1e-12
+                values = [sum(F(a) * x for a, x in zip(row, pt)) + F(row[-1])
+                          for pt in pts]
+                assert max(values) <= 1e-12
+                touching = [pt for pt, v in zip(pts, values)
+                            if abs(v) <= 1e-12]
+                assert affine_rank(touching) >= n - 2
+            sizes.add((n, len(vertices)))
+        assert {n for n, _ in sizes} == {3, 4} and (4, 24) in sizes
+
+    def test_degenerate_hulls_are_none(self, seven_ctx):
+        spatial = pytest.importorskip("scipy.spatial")
+        thermal = tuple(seven_ctx.g)
+        assert hull_facets(cone_vertices(thermal, seven_ctx)) is None
+        flat = [
+            # three levels: distinct points on one line
+            [(F(1, 2), F(1, 2), 0), (F(1, 4), F(1, 4), F(1, 2)),
+             (0, 0, 1)],
+            # four levels: coplanar points, and collinear ones
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1),
+             (F(1, 3), F(1, 3), 0, F(1, 3))],
+            [(0.25, 0.25, 0.25, 0.25), (0.5, 0.5, 0.0, 0.0),
+             (0.0, 0.0, 0.5, 0.5), (0.375, 0.375, 0.125, 0.125)],
+            # repeated points: no more distinct ones than n - 1
+            [(1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0)],
+        ]
+        for vertices in flat:
+            assert hull_facets(vertices) is None
+            with pytest.raises(spatial.QhullError):
+                spatial.ConvexHull([[float(v) for v in vert[:-1]]
+                                    for vert in vertices])
+
+
 class TestPullbackImagesInsideCone:
     def test_images_are_members(self, seven_ctx):
         rng = random.Random(8)

@@ -7,7 +7,7 @@ import pytest
 from thermo_ops import (ConvexDecomposition, DomainError, Population,
                         StochasticMatrix, ThermoPermutation, apply_plt,
                         beta_order, embed, gibbs_context_from_weights,
-                        in_convex_hull, is_detailed_balanced,
+                        hull_facets, in_convex_hull, is_detailed_balanced,
                         is_gibbs_preserving, lorenz_curve, make_edp_step,
                         make_gibbs_context, make_plt_step,
                         majorization_witness, relative_entropy, relax,
@@ -116,6 +116,7 @@ _RAW_TUPLE_ENTRIES = {
     "apply_plt": lambda x: apply_plt(make_plt_step(_CTX3, 0, 1, 0.5), x,
                                      _CTX3),
     "simplex_coordinates": lambda x: simplex_coordinates([x]),
+    "hull_facets": lambda x: hull_facets([x, (1, 0, 0), (0, 1, 0)]),
     "in_convex_hull point": lambda x: in_convex_hull(x, [(1, 0, 0)]),
     "in_convex_hull generator": lambda x: in_convex_hull((1, 0, 0), [x]),
     "gibbs_map_exists p": lambda x: gibbs_map_exists(x, _CTX3.g, _CTX3),
@@ -146,7 +147,10 @@ class TestRawTupleMisuse:
         lambda: simplex_coordinates([(0, 0, 0)]),
         lambda: simplex_coordinates([(-1, 0.5, 0.5)]),
         lambda: in_convex_hull((1, 0, 0), [(1, 0)]),
-    ], ids=["simplex-zero-sum", "simplex-negative", "hull-dimensions"])
+        lambda: hull_facets(()),
+        lambda: hull_facets([(0.5, 0.5, 0), (1, 0)]),
+    ], ids=["simplex-zero-sum", "simplex-negative", "hull-dimensions",
+            "facets-no-vertex", "facets-dimensions"])
     def test_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
