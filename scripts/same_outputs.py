@@ -2,9 +2,9 @@
 
 From any directory:
 
-    python3 scripts/same_outputs.py [--by-request]
+    python3 scripts/same_outputs.py
 
-prints two SHA-256 digests, one per line:
+prints SHA-256 digests of two workloads, each on a line of its own:
 
 - ``exact-small``: ``workload_exact.fingerprint`` of every instance of the
   exact-small corpora of seeds 1-3, each run once;
@@ -12,19 +12,18 @@ prints two SHA-256 digests, one per line:
   its name, exit status, stdout, stderr and output files, with the
   temporary work directory replaced by a fixed placeholder.
 
-A change meant to keep every returned value and every byte on disk prints
-the same two lines in its checkout as in its parent's.  With
-``--by-request`` each of those lines is followed by one line per part,
+Each workload's line is followed by one line per part,
 ``exact-small seed<n> <digest>`` for each seed and ``cli-mix <request>
-<digest>`` for each request (over its three seeds), so a change meant to
-alter some outputs can name exactly the requests whose outputs differ.
-Nothing is timed, and the modules under ``perfbench/`` are imported as
-they are; the whole run takes about 30 s.
+<digest>`` for each request (over its three seeds).  A change meant to
+keep every returned value and every byte on disk prints the same lines in
+its checkout as in its parent's; a change meant to alter some outputs
+names the requests whose lines differ, and ``awk 'NF == 2'`` keeps just
+the two whole digests.  Nothing is timed, and the modules under
+``perfbench/`` are imported as they are; the whole run takes about 30 s.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
 import sys
@@ -82,12 +81,7 @@ def digests(ops, key) -> tuple[str, dict[str, str]]:
     return whole.hexdigest(), {k: h.hexdigest() for k, h in each.items()}
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--by-request", action="store_true",
-                        help="also print one digest per exact-small seed "
-                        "and one per cli-mix request")
-    args = parser.parse_args(argv)
+def main() -> None:
     # the digest functions import the benchmark's modules from here, so
     # that importing this file (as its tests do) leaves sys.path alone
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench")]
@@ -96,9 +90,8 @@ def main(argv=None) -> None:
             ("cli-mix", cli_ops, lambda _, name: name)):
         whole, each = digests(ops(), key)
         print(f"{workload} {whole}", flush=True)
-        if args.by_request:
-            for part, digest in each.items():
-                print(f"{workload} {part} {digest}", flush=True)
+        for part, digest in each.items():
+            print(f"{workload} {part} {digest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -180,18 +180,22 @@ def hull_facets(vertices: Sequence[Sequence[Number]]
     facet, sorted, with ``a`` the unit outward normal and ``a . x + b <= 0``
     on every vertex (the row format of Qhull's ``equations``).  None when
     the hull is degenerate: at most n - 1 distinct points, or all of them
-    on one hyperplane.  No vertices, or vertices of unequal length, are a
-    DomainError.
+    on one hyperplane.  No vertices, vertices of unequal length, and more
+    distinct vertices than n! (the most a thermal cone has, one per
+    beta-ordering) are a DomainError.
 
     For n = 3, 4 the facets are found exactly, in integers: the coordinates
     go over one common denominator (a float converts exactly), every n - 1
     distinct points span a candidate hyperplane, which is a facet when no
     two points lie strictly on opposite sides of it, and each facet is
-    rounded to floats once.  Float vertices are rounded values themselves,
-    so a face of the cone can come out as slivers whose rows differ in the
-    last bits; by the tolerance rule (``core.auto_tol``) a row within
-    ``FLOAT_TOL`` of an earlier one is then dropped, and for exact vertices
-    only an equal row is.
+    rounded to floats once.  Each candidate is checked against every point,
+    so m points cost about m^n steps: meant for a thermal cone's vertices
+    (``cone_vertices``), at most 24 points, not for a general point cloud.
+    Float vertices are rounded values themselves, so a face of the cone
+    can come out as slivers whose rows differ in the last bits; by the
+    tolerance rule (``core.auto_tol``) a row within ``FLOAT_TOL`` of an
+    earlier one is then dropped, and for exact vertices only an equal row
+    is.
     """
     verts = [as_values(v) for v in vertices]
     if not verts:
@@ -201,6 +205,9 @@ def hull_facets(vertices: Sequence[Sequence[Number]]
         raise DomainError("vertices must all have the same length")
     if n > 4:
         raise DomainError("facet enumeration limited to n <= 4")
+    if len(set(verts)) > math.factorial(n):
+        raise DomainError(f"facet enumeration takes at most n! = "
+                          f"{math.factorial(n)} distinct vertices")
     if n < 2:
         return None
     if n == 2:

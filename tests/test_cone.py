@@ -299,6 +299,20 @@ def affine_rank(points) -> int:
     return rank
 
 
+#: vertex sets whose points span no more than a hyperplane
+FLAT_VERTEX_SETS = [
+    # three levels: distinct points on one line
+    [(F(1, 2), F(1, 2), 0), (F(1, 4), F(1, 4), F(1, 2)), (0, 0, 1)],
+    # four levels: coplanar points, and collinear ones
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1),
+     (F(1, 3), F(1, 3), 0, F(1, 3))],
+    [(0.25, 0.25, 0.25, 0.25), (0.5, 0.5, 0.0, 0.0),
+     (0.0, 0.0, 0.5, 0.5), (0.375, 0.375, 0.125, 0.125)],
+    # repeated points: no more distinct ones than n - 1
+    [(1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0)],
+]
+
+
 class TestFacetOracle:
     """hull_facets against Qhull (scipy.spatial.ConvexHull)."""
 
@@ -336,23 +350,14 @@ class TestFacetOracle:
         assert {n for n, _ in sizes} == {3, 4} and (4, 24) in sizes
 
     def test_degenerate_hulls_are_none(self, seven_ctx):
-        spatial = pytest.importorskip("scipy.spatial")
         thermal = tuple(seven_ctx.g)
         assert hull_facets(cone_vertices(thermal, seven_ctx)) is None
-        flat = [
-            # three levels: distinct points on one line
-            [(F(1, 2), F(1, 2), 0), (F(1, 4), F(1, 4), F(1, 2)),
-             (0, 0, 1)],
-            # four levels: coplanar points, and collinear ones
-            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1),
-             (F(1, 3), F(1, 3), 0, F(1, 3))],
-            [(0.25, 0.25, 0.25, 0.25), (0.5, 0.5, 0.0, 0.0),
-             (0.0, 0.0, 0.5, 0.5), (0.375, 0.375, 0.125, 0.125)],
-            # repeated points: no more distinct ones than n - 1
-            [(1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0)],
-        ]
-        for vertices in flat:
+        for vertices in FLAT_VERTEX_SETS:
             assert hull_facets(vertices) is None
+
+    def test_qhull_rejects_the_degenerate_hulls(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        for vertices in FLAT_VERTEX_SETS:
             with pytest.raises(spatial.QhullError):
                 spatial.ConvexHull([[float(v) for v in vert[:-1]]
                                     for vert in vertices])

@@ -149,8 +149,9 @@ class TestRawTupleMisuse:
         lambda: in_convex_hull((1, 0, 0), [(1, 0)]),
         lambda: hull_facets(()),
         lambda: hull_facets([(0.5, 0.5, 0), (1, 0)]),
+        lambda: hull_facets([(F(k, 7), 1 - F(k, 7), 0) for k in range(7)]),
     ], ids=["simplex-zero-sum", "simplex-negative", "hull-dimensions",
-            "facets-no-vertex", "facets-dimensions"])
+            "facets-no-vertex", "facets-dimensions", "facets-too-many"])
     def test_domain_error(self, call):
         with pytest.raises(DomainError):
             call()

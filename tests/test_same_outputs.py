@@ -68,3 +68,25 @@ def test_digest_per_seed():
     _, each = same_outputs.digests(ops, lambda seed, _: f"seed{seed}")
     assert list(each) == ["seed1", "seed2"]
     assert each["seed1"] == each["seed2"]
+
+
+def test_main_prints_each_whole_digest_before_its_parts(monkeypatch,
+                                                        capsys):
+    cli = [(seed, name, same_outputs.cli_bytes(name, op(), WORK))
+           for seed in (1, 2) for name, op in stub_ops()]
+    exact = [(seed, "majorizes", f"{seed} majorizes True\n".encode())
+             for seed in (1, 2)]
+    monkeypatch.setattr(same_outputs, "exact_ops", lambda: iter(exact))
+    monkeypatch.setattr(same_outputs, "cli_ops", lambda: iter(cli))
+    monkeypatch.setattr(same_outputs.sys, "path", [])
+    same_outputs.main()
+    whole, each = run_stub()
+    assert capsys.readouterr().out.splitlines() == [
+        "exact-small " + hashlib.sha256(b"".join(d for *_, d in exact))
+        .hexdigest(),
+        "exact-small seed1 " + hashlib.sha256(exact[0][2]).hexdigest(),
+        "exact-small seed2 " + hashlib.sha256(exact[1][2]).hexdigest(),
+        f"cli-mix {whole}",
+        f"cli-mix cone.facets {each['cone.facets']}",
+        f"cli-mix relax.out {each['relax.out']}",
+    ]
