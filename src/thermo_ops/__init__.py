@@ -25,10 +25,8 @@ _PUBLIC = {
         thermo_majorizes_curve thermo_majorizes_embedded unembed""",
     "synthesis": """EdpSequence StepRecord SynthesisError VerifyReport
         apply_edp compose_edps_same_pair synthesize verify_sequence""",
-    "birkhoff": """LiftedBistochastic birkhoff_von_neumann decompose
-        is_doubly_stochastic lift pull_back random_edp_product
-        random_gibbs_preserving random_thermo_permutation sample_process
-        simulate_mean""",
+    "birkhoff": """birkhoff_von_neumann decompose is_doubly_stochastic lift
+        pull_back simulate_mean""",
     "cone": """HullReport ThermalCone cone_membership cone_vertices hull_check
         hull_facets simplex_coordinates thermal_cone""",
     "thermalization": """PltStep apply_plt edp_to_plt is_markovian_edp

@@ -14,25 +14,13 @@ by randomised elementary steps.
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (ConvexDecomposition, DomainError, EdpStep, GibbsContext,
-                   Number, StochasticMatrix, ThermoPermutation, auto_tol,
-                   is_gibbs_preserving, make_edp_step, validate_stochastic)
-
-@dataclass(frozen=True)
-class LiftedBistochastic:
-    """D x D doubly stochastic lift; ``rows[r][c]`` indexed by slots."""
-
-    rows: tuple[tuple[Number, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
+from .core import (ConvexDecomposition, DomainError, GibbsContext, Number,
+                   StochasticMatrix, ThermoPermutation, auto_tol,
+                   is_gibbs_preserving, validate_stochastic)
 
 
 def _slot_blocks(ctx: GibbsContext) -> list[int]:
@@ -43,22 +31,18 @@ def _slot_blocks(ctx: GibbsContext) -> list[int]:
 
 
 def lift(T: StochasticMatrix, ctx: GibbsContext,
-         tol: Number | None = None) -> LiftedBistochastic:
-    """Embed T as the slot matrix with entries T[i|j] / d_i.
+         tol: Number | None = None) -> StochasticMatrix:
+    """Embed T as the D x D slot matrix with entries T[block(r)|block(c)] /
+    d_block(r), column-major like every matrix of the library.
 
     Column sums are one by stochasticity; row sums are one exactly because
-    T preserves the Gibbs weights, which is checked first (within tol, which
-    ``auto_tol`` resolves against T's entries).
+    T preserves the Gibbs weights, which ``is_gibbs_preserving`` checks
+    first (within tol, resolved by ``auto_tol``; a NaN entry fails it).
     """
     ctx.require_rational()
-    if T.n != ctx.n:
-        raise DomainError("matrix and context dimensions differ")
-    tol = auto_tol(tol, *T.cols)
-    img = T.apply(ctx.g)
-    residual = max(abs(a - b) for a, b in zip(img, ctx.g))
-    if residual > tol:
-        raise DomainError(
-            f"matrix does not preserve the Gibbs weights (residual {residual})")
+    if not is_gibbs_preserving(T, ctx, tol):
+        raise DomainError("matrix does not preserve the Gibbs weights "
+                          "within tolerance")
     blocks = _slot_blocks(ctx)
     D = ctx.D
 
@@ -67,23 +51,18 @@ def lift(T: StochasticMatrix, ctx: GibbsContext,
         di = ctx.d[blocks[r]]
         return Fraction(v, di) if isinstance(v, int) else v / di
 
-    rows = tuple(tuple(cell(r, c) for c in range(D)) for r in range(D))
-    return LiftedBistochastic(rows)
+    return StochasticMatrix(tuple(tuple(cell(r, c) for r in range(D))
+                                  for c in range(D)))
 
 
-def is_doubly_stochastic(M: LiftedBistochastic,
+def is_doubly_stochastic(M: StochasticMatrix,
                          tol: Number | None = None) -> bool:
-    tol = auto_tol(tol, *M.rows)
-    D = M.size
-    for r in range(D):
-        if abs(sum(M.rows[r]) - 1) > tol:
-            return False
-    for c in range(D):
-        if any(M.rows[r][c] < -tol for r in range(D)):
-            return False
-        if abs(sum(M.rows[r][c] for r in range(D)) - 1) > tol:
-            return False
-    return True
+    """``validate_stochastic`` (a non-square M is a DomainError) and every
+    row sums to one within tol."""
+    tol = auto_tol(tol, *M.cols)
+    # ``<=`` is False for NaN, so a NaN row sum fails too
+    return validate_stochastic(M, tol) and all(
+        abs(sum(row) - 1) <= tol for row in zip(*M.cols))
 
 
 def _complete(X: dict, support: list[list[bool]], d: Sequence[int]) -> None:
@@ -172,7 +151,7 @@ def _split(F: Sequence[Sequence[Number]], d: Sequence[int], tol: Number
     return out
 
 
-def birkhoff_von_neumann(M: LiftedBistochastic, tol: Number | None = None
+def birkhoff_von_neumann(M: StochasticMatrix, tol: Number | None = None
                          ) -> list[tuple[Number, tuple[int, ...]]]:
     """Convex split into slot permutations.
 
@@ -180,11 +159,11 @@ def birkhoff_von_neumann(M: LiftedBistochastic, tol: Number | None = None
     content of slot c: the split of the lift with all-ones margins, so at
     most (D-1)^2 + 1 terms appear.  Exact when entries are rational.
     """
-    tol = auto_tol(tol, *M.rows)
+    tol = auto_tol(tol, *M.cols)
     if not is_doubly_stochastic(M, tol):
         raise DomainError("matrix is not doubly stochastic within tolerance")
     return [(w, tuple(r for _, r in sorted((c, r) for r, c in X)))
-            for w, X in _split(M.rows, [1] * M.size, tol)]
+            for w, X in _split(list(zip(*M.cols)), [1] * M.n, tol)]
 
 
 def pull_back(perm: Sequence[int], ctx: GibbsContext) -> ThermoPermutation:
@@ -213,19 +192,6 @@ def decompose(T: StochasticMatrix, ctx: GibbsContext,
     return ConvexDecomposition(tuple(
         (w, ThermoPermutation.from_counts(X, d))
         for w, X in _split(table, d, tol)))
-
-
-def sample_process(dec: ConvexDecomposition, p, rng_seed: int
-                   ) -> tuple[Number, ...]:
-    """One draw: pick a factor with probability lambda_k, apply it."""
-    rng = random.Random(rng_seed)
-    u = Fraction(rng.getrandbits(53), 2**53)
-    acc = 0
-    for w, tp in dec.terms:
-        acc += w
-        if u < acc:
-            return tp.apply(p)
-    return dec.terms[-1][1].apply(p)
 
 
 def simulate_mean(dec: ConvexDecomposition, p, samples: int, rng_seed: int):
@@ -261,42 +227,3 @@ def simulate_mean(dec: ConvexDecomposition, p, samples: int, rng_seed: int):
 
     sigma = [(variance(i) / samples) ** 0.5 for i in range(n)]
     return mean, exact, sigma
-
-
-# ---------------------------------------------------------------- generators
-
-def random_thermo_permutation(ctx: GibbsContext,
-                              rng: random.Random) -> ThermoPermutation:
-    perm = list(range(ctx.D))
-    rng.shuffle(perm)
-    return pull_back(perm, ctx)
-
-
-def random_gibbs_preserving(ctx: GibbsContext, rng: random.Random,
-                            terms: int = 4) -> StochasticMatrix:
-    """Convex mixture of random pullbacks; in the Gibbs-preserving set by
-    construction, with exact rational entries."""
-    weights = [Fraction(rng.randint(1, 20)) for _ in range(terms)]
-    total = sum(weights)
-    return ConvexDecomposition(tuple(
-        (w / total, random_thermo_permutation(ctx, rng))
-        for w in weights)).reconstruct()
-
-
-def random_edp_product(ctx: GibbsContext, rng: random.Random,
-                       factors: int = 3) -> StochasticMatrix:
-    """Product of random elementary steps; detailed balance of each factor
-    makes the product Gibbs-preserving (though not detailed balanced)."""
-    n = ctx.n
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if i != j and not ctx.degenerate_pair(i, j)
-             and ctx.g[i] > ctx.g[j]]
-    if not pairs:
-        raise DomainError("context has no usable level pair")
-    out = StochasticMatrix.identity(n)
-    for _ in range(factors):
-        lo, hi = pairs[rng.randrange(len(pairs))]
-        step: EdpStep = make_edp_step(ctx, lo, hi,
-                                      Fraction(rng.randint(0, 32), 32))
-        out = step.as_matrix(ctx).compose(out)
-    return out

@@ -114,21 +114,26 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    from .cone import simplex_coordinates, thermal_cone
+    from .cone import MAX_FACET_LEVELS, simplex_coordinates, thermal_cone
     ctx = _load_ctx(args)
     p = _load_pop(args.p, args.mode)
     if ctx.n > MAX_CONE_LEVELS:
         raise DomainError(f"cone walks all n! level orderings; {ctx.n} "
                           f"levels are more than {MAX_CONE_LEVELS} (the cap)")
+    if args.facets and ctx.n > MAX_FACET_LEVELS:
+        raise DomainError(
+            f"facet enumeration limited to n <= {MAX_FACET_LEVELS}")
     cone = thermal_cone(p, ctx, facets=args.facets)
+    # before any output, so that an error leaves neither stdout nor a file
+    coords = (simplex_coordinates(cone.vertices) if args.simplex_csv
+              else None)
     payload = {"source": [tio.encode_number(v) for v in cone.source],
                "vertices": [[tio.encode_number(v) for v in vert]
                             for vert in cone.vertices],
                "facets": None if cone.hull_facets is None else
                [list(f) for f in cone.hull_facets]}
     _emit(payload, args.out)
-    if args.simplex_csv:
-        coords = simplex_coordinates(cone.vertices)
+    if coords is not None:
         lines = ["x,y"] + [f"{x:.12g},{y:.12g}" for x, y in coords]
         tio.write_text_atomic(args.simplex_csv, "\n".join(lines) + "\n")
     return 0

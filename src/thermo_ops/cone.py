@@ -20,6 +20,10 @@ from .core import (DomainError, GibbsContext, Number, ThermoPermutation,
 from .majorization import (ExactLorenz, _dominates, _scaled, as_number,
                            exact_lorenz, slot_counts, thermo_majorizes)
 
+#: most levels ``hull_facets`` takes; ``cone --facets`` refuses more before
+#: it walks the n! level orderings
+MAX_FACET_LEVELS = 4
+
 
 @dataclass(frozen=True)
 class ThermalCone:
@@ -203,8 +207,9 @@ def hull_facets(vertices: Sequence[Sequence[Number]]
     n = len(verts[0])
     if any(len(v) != n for v in verts):
         raise DomainError("vertices must all have the same length")
-    if n > 4:
-        raise DomainError("facet enumeration limited to n <= 4")
+    if n > MAX_FACET_LEVELS:
+        raise DomainError(
+            f"facet enumeration limited to n <= {MAX_FACET_LEVELS}")
     if len(set(verts)) > math.factorial(n):
         raise DomainError(f"facet enumeration takes at most n! = "
                           f"{math.factorial(n)} distinct vertices")

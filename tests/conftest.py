@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from thermo_ops import (GibbsContext, apply_edp, gibbs_context_from_weights,
-                        make_edp_step)
+from thermo_ops import (ConvexDecomposition, DomainError, EdpStep,
+                        GibbsContext, StochasticMatrix, apply_edp,
+                        gibbs_context_from_weights, make_edp_step, pull_back)
 
 F = Fraction
 
@@ -63,6 +64,39 @@ def rand_plt_image(rng: random.Random, p, ctx: GibbsContext, nsteps: int):
                              F(rng.randint(0, 63), 64) * pmax)
         x = apply_edp(step, x, ctx)
     return x
+
+
+def random_gibbs_preserving(ctx: GibbsContext, rng: random.Random,
+                            terms: int = 4) -> StochasticMatrix:
+    """Convex mixture of random pullbacks; in the Gibbs-preserving set by
+    construction, with exact rational entries."""
+    weights = [Fraction(rng.randint(1, 20)) for _ in range(terms)]
+    total = sum(weights)
+    mixture = []
+    for w in weights:
+        perm = list(range(ctx.D))
+        rng.shuffle(perm)
+        mixture.append((w / total, pull_back(perm, ctx)))
+    return ConvexDecomposition(tuple(mixture)).reconstruct()
+
+
+def random_edp_product(ctx: GibbsContext, rng: random.Random,
+                       factors: int = 3) -> StochasticMatrix:
+    """Product of random elementary steps; detailed balance of each factor
+    makes the product Gibbs-preserving (though not detailed balanced)."""
+    n = ctx.n
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and not ctx.degenerate_pair(i, j)
+             and ctx.g[i] > ctx.g[j]]
+    if not pairs:
+        raise DomainError("context has no usable level pair")
+    out = StochasticMatrix.identity(n)
+    for _ in range(factors):
+        lo, hi = pairs[rng.randrange(len(pairs))]
+        step: EdpStep = make_edp_step(ctx, lo, hi,
+                                      Fraction(rng.randint(0, 32), 32))
+        out = step.as_matrix(ctx).compose(out)
+    return out
 
 
 @pytest.fixture

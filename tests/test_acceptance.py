@@ -22,18 +22,18 @@ from thermo_ops import (apply_edp, apply_plt, beta_order, decompose,
                         is_doubly_stochastic, is_gibbs_preserving,
                         j_lower_bound, j_lower_bound_with_argmax,
                         j_probabilities, j_upper_bound, jc_params, lift,
-                        make_edp_step, make_plt_step, plt_max,
-                        random_edp_product, random_gibbs_preserving,
-                        region_sweep, relax, repeated_edp_limit,
-                        simulate_mean, synthesize, thermo_majorizes,
-                        thermo_majorizes_abs, thermo_majorizes_curve,
-                        thermo_majorizes_embedded, validate_stochastic)
+                        make_edp_step, make_plt_step, plt_max, region_sweep,
+                        relax, repeated_edp_limit, simulate_mean, synthesize,
+                        thermo_majorizes, thermo_majorizes_abs,
+                        thermo_majorizes_curve, thermo_majorizes_embedded,
+                        validate_stochastic)
 from thermo_ops.birkhoff import birkhoff_von_neumann
 from thermo_ops.cone import cone_vertices, hull_check
 from thermo_ops.io import region_csv_text, write_text_atomic
 from thermo_ops.linprog import gibbs_map_exists, in_convex_hull
 
 from conftest import (rand_ctx, rand_edp_image, rand_plt_image, rand_pop,
+                      random_edp_product, random_gibbs_preserving,
                       usable_pairs)
 
 F = Fraction

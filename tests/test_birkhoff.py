@@ -7,16 +7,14 @@ import pytest
 from thermo_ops import (DomainError, StochasticMatrix, birkhoff_von_neumann,
                         decompose, gibbs_context_from_weights,
                         is_doubly_stochastic, is_gibbs_preserving, lift,
-                        pull_back, random_edp_product,
-                        random_gibbs_preserving, sample_process,
-                        simulate_mean, thermo_transposition)
-from thermo_ops.birkhoff import LiftedBistochastic
+                        pull_back, simulate_mean, thermo_transposition)
 from thermo_ops.cli import main
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json, read_json,
                            write_json_atomic)
 
-from conftest import rand_ctx, rand_pop
+from conftest import (rand_ctx, rand_pop, random_edp_product,
+                      random_gibbs_preserving)
 
 F = Fraction
 
@@ -24,7 +22,7 @@ F = Fraction
 class TestLift:
     def test_identity_blocks(self, two_thirds_ctx):
         m = lift(StochasticMatrix.identity(2), two_thirds_ctx)
-        assert m.rows == (
+        assert m.cols == (
             (F(1, 2), F(1, 2), F(0)),
             (F(1, 2), F(1, 2), F(0)),
             (F(0), F(0), F(1)))
@@ -35,25 +33,44 @@ class TestLift:
         m = lift(t, two_thirds_ctx)
         assert is_doubly_stochastic(m, 0)
         # T[0|0]/d_0 = (1/2)/2
-        assert m.rows[0][0] == F(1, 4)
+        assert m.cols[0][0] == F(1, 4)
+        # slot 2 (level 1) receives T[1|0]/d_1 = 1/2 from slot 0
+        assert m.cols[0][2] == F(1, 2)
 
     def test_rejects_non_preserving(self, two_thirds_ctx):
         swap = StochasticMatrix(((F(0), F(1)), (F(1), F(0))))
         with pytest.raises(DomainError):
             lift(swap, two_thirds_ctx)
 
+    def test_rejects_nan_entry(self, two_thirds_ctx):
+        T = StochasticMatrix(((float("nan"), 0.5), (0.5, 0.5)))
+        with pytest.raises(DomainError, match="Gibbs"):
+            lift(T, two_thirds_ctx)
+
+
+class TestIsDoublyStochastic:
+    def test_rejects_nan_entry(self):
+        nan = float("nan")
+        assert not is_doubly_stochastic(
+            StochasticMatrix(((nan, 0.5), (0.5, 0.5))))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DomainError, match="square"):
+            is_doubly_stochastic(StochasticMatrix(((F(1), F(0)), (F(1),))))
+
 
 class TestBvn:
     def test_permutation_single_term(self):
-        perm = LiftedBistochastic((
-            (F(0), F(1), F(0)),
+        perm = StochasticMatrix((
             (F(0), F(0), F(1)),
-            (F(1), F(0), F(0))))
+            (F(1), F(0), F(0)),
+            (F(0), F(1), F(0))))
         terms = birkhoff_von_neumann(perm)
-        assert len(terms) == 1 and terms[0][0] == 1
+        # column c has its one at row perm[c]
+        assert terms == [(1, (2, 0, 1))]
 
     def test_uniform_two_by_two(self):
-        m = LiftedBistochastic(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
+        m = StochasticMatrix(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
         terms = birkhoff_von_neumann(m)
         assert sorted(w for w, _ in terms) == [F(1, 2), F(1, 2)]
         assert {perm for _, perm in terms} == {(0, 1), (1, 0)}
@@ -70,8 +87,9 @@ class TestBvn:
                 StochasticMatrix.identity(2).cols
 
     def test_rejects_non_bistochastic(self):
-        m = LiftedBistochastic(((F(1), F(1)), (F(0), F(0))))
-        with pytest.raises(DomainError):
+        # column-stochastic, but its rows sum to 2 and 0
+        m = StochasticMatrix(((F(1), F(0)), (F(1), F(0))))
+        with pytest.raises(DomainError, match="doubly"):
             birkhoff_von_neumann(m)
 
 
@@ -194,19 +212,6 @@ class TestDecompose:
 
 
 class TestSampling:
-    def test_single_term_deterministic(self, two_thirds_ctx):
-        t = thermo_transposition(two_thirds_ctx, 0, 1).as_matrix(two_thirds_ctx)
-        dec = decompose(t, two_thirds_ctx)
-        p = (F(1), F(0))
-        assert sample_process(dec, p, rng_seed=1) == t.apply(p)
-
-    def test_seed_reproducible(self, two_thirds_ctx):
-        rng = random.Random(9)
-        T = random_gibbs_preserving(two_thirds_ctx, rng, terms=4)
-        dec = decompose(T, two_thirds_ctx)
-        p = (F(2, 5), F(3, 5))
-        assert sample_process(dec, p, 42) == sample_process(dec, p, 42)
-
     def test_single_term_sigma_is_real_zero(self, two_thirds_ctx):
         # every term maps each coordinate alike: the variance is exactly
         # zero, where the raw float difference can round below zero

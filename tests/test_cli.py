@@ -9,6 +9,7 @@ from thermo_ops import (decompose, gibbs_context_from_weights, make_edp_step,
                         thermo_transposition)
 from thermo_ops.cli import (MAX_CONE_LEVELS, MAX_REGION_ROWS,
                             build_parser, main)
+from thermo_ops.cone import MAX_FACET_LEVELS
 from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
@@ -197,6 +198,45 @@ class TestCone:
         assert time.perf_counter() - t0 < 1.0
         line = assert_one_error(capsys, "DOMAIN")
         assert str(MAX_CONE_LEVELS) in line
+
+    def test_facets_over_limit_refused_before_the_walk(
+            self, tmp_path, capsys, monkeypatch):
+        """Five levels with --facets are refused before ``thermal_cone``
+        walks the n! orderings that ``hull_facets`` would then refuse."""
+        n = MAX_FACET_LEVELS + 1
+        D = n * (n + 1) // 2
+        ctx = gibbs_context_from_weights([F(i, D) for i in range(1, n + 1)])
+        write_json_atomic(tmp_path / "ctx.json", context_to_json(ctx))
+        write_json_atomic(tmp_path / "p.json",
+                          population_to_json((F(1),) + (F(0),) * (n - 1)))
+
+        def walk(*args, **kwargs):
+            raise AssertionError("thermal_cone ran")
+
+        monkeypatch.setattr("thermo_ops.cone.thermal_cone", walk)
+        assert run("cone", "--p", tmp_path / "p.json",
+                   "--ctx", tmp_path / "ctx.json", "--facets") == 1
+        line = assert_one_error(capsys, "DOMAIN")
+        assert f"n <= {MAX_FACET_LEVELS}" in line
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_simplex_csv_error_leaves_no_output(self, tmp_path, capsys,
+                                                to_file):
+        """On four levels the simplex coordinates fail before any output:
+        no JSON on stdout or in --out, and no CSV."""
+        ctx = gibbs_context_from_weights([F(4, 10), F(3, 10), F(2, 10),
+                                          F(1, 10)])
+        write_json_atomic(tmp_path / "ctx.json", context_to_json(ctx))
+        write_json_atomic(tmp_path / "p.json",
+                          population_to_json((F(1), F(0), F(0), F(0))))
+        out = ("--out", tmp_path / "cone.json") if to_file else ()
+        assert run("cone", "--p", tmp_path / "p.json",
+                   "--ctx", tmp_path / "ctx.json", *out,
+                   "--simplex-csv", tmp_path / "tern.csv") == 1
+        line = assert_one_error(capsys, "DOMAIN")
+        assert "three levels" in line
+        assert not (tmp_path / "cone.json").exists()
+        assert not (tmp_path / "tern.csv").exists()
 
 
 class TestJc:

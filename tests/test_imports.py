@@ -162,7 +162,7 @@ def test_every_public_name_is_its_modules_object():
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from thermo_ops import *", namespace)
-    assert len(thermo_ops.__all__) == 82
+    assert len(thermo_ops.__all__) == 77
     assert set(namespace) - {"__builtins__"} == set(thermo_ops.__all__)
     assert set(JC_NAMES) <= set(namespace)
 

@@ -493,6 +493,38 @@ class TestPinnedOutputs:
         assert digest == SYNTHESIS_PIN
 
 
+# Three more greedy-only exact-small targets (perfbench ``exact_small(seed,
+# 500)[i]`` for (seed, i) = (149, 108) plt, (151, 358) plt and (195, 233)
+# edp) that a fallback undoing one or two final full elementary steps does
+# not reach either: (slot counts d, p, q).  Kept out of ``GREEDY_PAIRS``,
+# whose outputs ``SYNTHESIS_PIN`` hashes.
+GREEDY_BEYOND_UNDO = (
+    ((1, 2, 7, 38, 51),
+     (F(26, 1005), F(971, 2010), F(233, 1005), F(413, 2010), F(18, 335)),
+     (F(9397, 128640), F(11215, 25728), F(69092141, 447667200),
+      F(122536939, 447667200), F(78321, 1243520))),
+    ((12, 16, 53, 3, 6),
+     (F(226, 1163), F(300, 1163), F(203, 2326), F(991, 2326), F(40, 1163)),
+     (F(1571060995955, 26189850738688), F(3207515, 12504576),
+      F(14393825127655, 78569552216064), F(141125948095, 503650975744),
+      F(110854055569, 503650975744))),
+    ((11, 3, 15, 21, 1),
+     (F(26, 459), F(31, 765), F(281, 765), F(224, 765), F(557, 2295)),
+     (F(749, 7344), F(511, 6120), F(281, 765), F(3029, 12240),
+      F(3667, 18360))),
+)
+
+
+@pytest.mark.parametrize("d, p, q", GREEDY_BEYOND_UNDO)
+def test_greedy_reaches_what_undoing_a_full_step_does_not(d, p, q):
+    """Greedy reaches these targets exactly, and alone: deleting
+    ``_greedy_balanced`` in favour of that fallback would lose them."""
+    ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
+    seq = synthesize(p, q, ctx)
+    assert verify_sequence(seq, p, q, ctx, tol=0).ok
+    assert {r.origin for r in seq.provenance} == {"greedy"}
+
+
 def grouped_by_oracle(steps, ctx):
     """The ungrouped steps with each run on one level pair folded by
     ``compose_edps_same_pair``."""
