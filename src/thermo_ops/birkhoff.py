@@ -37,7 +37,7 @@ def lift(T: StochasticMatrix, ctx: GibbsContext,
 
     Column sums are one by stochasticity; row sums are one exactly because
     T preserves the Gibbs weights, which ``is_gibbs_preserving`` checks
-    first (within tol, resolved by ``auto_tol``; a NaN entry fails it).
+    first (within tol, resolved by ``auto_tol``).
     """
     ctx.require_rational()
     if not is_gibbs_preserving(T, ctx, tol):
@@ -57,10 +57,8 @@ def lift(T: StochasticMatrix, ctx: GibbsContext,
 
 def is_doubly_stochastic(M: StochasticMatrix,
                          tol: Number | None = None) -> bool:
-    """``validate_stochastic`` (a non-square M is a DomainError) and every
-    row sums to one within tol."""
+    """``validate_stochastic`` and every row sums to one within tol."""
     tol = auto_tol(tol, *M.cols)
-    # ``<=`` is False for NaN, so a NaN row sum fails too
     return validate_stochastic(M, tol) and all(
         abs(sum(row) - 1) <= tol for row in zip(*M.cols))
 

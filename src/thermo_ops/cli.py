@@ -26,9 +26,6 @@ from .core import DomainError, FormatError, ThermoOpsError
 
 #: most rows ``jc-region`` computes; a finer grid is refused up front
 MAX_REGION_ROWS = 10**5
-#: most levels ``cone`` takes: it walks all n! level orderings, and one more
-#: level multiplies its time and memory by about ten
-MAX_CONE_LEVELS = 8
 
 
 def _fail(code: str, message: str, status: int) -> int:
@@ -114,15 +111,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    from .cone import MAX_FACET_LEVELS, simplex_coordinates, thermal_cone
+    from .cone import simplex_coordinates, thermal_cone
     ctx = _load_ctx(args)
     p = _load_pop(args.p, args.mode)
-    if ctx.n > MAX_CONE_LEVELS:
-        raise DomainError(f"cone walks all n! level orderings; {ctx.n} "
-                          f"levels are more than {MAX_CONE_LEVELS} (the cap)")
-    if args.facets and ctx.n > MAX_FACET_LEVELS:
-        raise DomainError(
-            f"facet enumeration limited to n <= {MAX_FACET_LEVELS}")
     cone = thermal_cone(p, ctx, facets=args.facets)
     # before any output, so that an error leaves neither stdout nor a file
     coords = (simplex_coordinates(cone.vertices) if args.simplex_csv

@@ -20,8 +20,11 @@ from .core import (DomainError, GibbsContext, Number, ThermoPermutation,
 from .majorization import (ExactLorenz, _dominates, _scaled, as_number,
                            exact_lorenz, slot_counts, thermo_majorizes)
 
-#: most levels ``hull_facets`` takes; ``cone --facets`` refuses more before
-#: it walks the n! level orderings
+#: most levels ``cone_vertices`` takes: it walks all n! level orderings, and
+#: one more level multiplies its time and memory by about ten
+MAX_CONE_LEVELS = 8
+#: most levels ``hull_facets`` takes; ``thermal_cone(..., facets=True)``
+#: refuses more before it walks the n! level orderings
 MAX_FACET_LEVELS = 4
 
 
@@ -46,6 +49,12 @@ def _admits(source: ExactLorenz, v) -> bool:
         source, ExactLorenz(v, source.scale, source.d), 0, "all")
 
 
+def _check_facet_levels(n: int) -> None:
+    if n > MAX_FACET_LEVELS:
+        raise DomainError(
+            f"facet enumeration limited to n <= {MAX_FACET_LEVELS}")
+
+
 def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
     """Beta-order saturation points: for each level ordering, read the
     source curve at that ordering's cumulative-weight grid.
@@ -55,10 +64,14 @@ def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
     cumulative slot count: each is read once, and vertices are deduplicated
     exactly.  Every vertex is checked to lie in the cone on those
     numerators, before rounding (all three routes, zero slack).  Entries
-    are Fractions, or floats when an input number is one.
+    are Fractions, or floats when an input number is one.  More than
+    ``MAX_CONE_LEVELS`` levels are a DomainError before the walk.
     """
-    pv = as_values(p)
     n = ctx.n
+    if n > MAX_CONE_LEVELS:
+        raise DomainError(f"cone walks all n! level orderings; {n} levels "
+                          f"are more than {MAX_CONE_LEVELS} (the cap)")
+    pv = as_values(p)
     curve = exact_lorenz(pv, ctx)
     steps = slot_counts(ctx)[0]
     values = {}
@@ -207,9 +220,7 @@ def hull_facets(vertices: Sequence[Sequence[Number]]
     n = len(verts[0])
     if any(len(v) != n for v in verts):
         raise DomainError("vertices must all have the same length")
-    if n > MAX_FACET_LEVELS:
-        raise DomainError(
-            f"facet enumeration limited to n <= {MAX_FACET_LEVELS}")
+    _check_facet_levels(n)
     if len(set(verts)) > math.factorial(n):
         raise DomainError(f"facet enumeration takes at most n! = "
                           f"{math.factorial(n)} distinct vertices")
@@ -273,7 +284,11 @@ def _unit_row(row, scale: int) -> tuple[float, ...]:
 
 
 def thermal_cone(p, ctx: GibbsContext, facets: bool = False) -> ThermalCone:
+    """The source, its cone's vertices and, with ``facets``, their
+    ``hull_facets``; both level caps are checked before the n! walk."""
     pv = as_values(p)
+    if facets and ctx.n <= MAX_CONE_LEVELS:  # else cone_vertices refuses it
+        _check_facet_levels(ctx.n)
     vertices = cone_vertices(pv, ctx)
     eqs = hull_facets(vertices) if facets else None
     return ThermalCone(tuple(pv), vertices, eqs)

@@ -245,9 +245,18 @@ def coerce_exact(values, what: str) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Column-stochastic matrix; ``cols[j][i]`` is T[i|j]."""
+    """Column-stochastic matrix; ``cols[j][i]`` is T[i|j].  Ragged
+    ``cols`` and a NaN or infinite entry are DomainErrors;
+    ``validate_stochastic`` checks the signs and column sums."""
 
     cols: tuple[tuple[Number, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.cols)
+        for col in self.cols:
+            if len(col) != n:
+                raise DomainError("matrix must be square")
+            _require_finite(col, "matrix entries")
 
     @property
     def n(self) -> int:
@@ -285,14 +294,9 @@ class StochasticMatrix:
 def validate_stochastic(T: StochasticMatrix,
                         tol: Number | None = None) -> bool:
     """Entries >= -tol and every column sums to one within tol."""
-    n = T.n
-    if any(len(c) != n for c in T.cols):
-        raise DomainError("matrix must be square")
     t = auto_tol(tol, *T.cols)
-    for col in T.cols:  # negated tests, so that NaN fails too
-        if any(not v >= -t for v in col):
-            return False
-        if not abs(sum(col) - 1) <= t:
+    for col in T.cols:
+        if any(v < -t for v in col) or abs(sum(col) - 1) > t:
             return False
     return True
 
@@ -416,6 +420,8 @@ class ConvexDecomposition:
             raise DomainError("decomposition weights must be nonnegative")
         if abs(sum(weights) - 1) > auto_tol(None, weights):
             raise DomainError("decomposition weights must sum to one")
+        if len({perm.pulled_back.n for _, perm in self.terms}) > 1:
+            raise DomainError("decomposition terms must all have one size")
 
     @property
     def n(self) -> int:

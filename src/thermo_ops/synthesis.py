@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
-                   auto_tol, coerce_exact, is_detailed_balanced,
-                   make_edp_step, validate_stochastic)
+                   auto_tol, check_level_pair, coerce_exact,
+                   is_detailed_balanced, make_edp_step, validate_stochastic)
 from .majorization import ExactLorenz, _curves, _witness, lorenz_violation
 
 
@@ -516,13 +516,19 @@ class VerifyReport:
 
 def verify_sequence(seq: EdpSequence, p, q, ctx: GibbsContext,
                     tol: Number | None = None) -> VerifyReport:
-    """Replay the steps and check stochasticity, detailed balance and the
+    """Replay the steps and check each one's level pair
+    (``check_level_pair``), stochasticity, detailed balance and the
     terminal state; returns diagnostics instead of raising."""
     pv = as_values(p)
     qv = as_values(q)
     t = auto_tol(tol, pv, qv, ctx.g)
     x = pv
     for idx, step in enumerate(seq.steps):
+        try:
+            check_level_pair(ctx, step.lo, step.hi)
+        except DomainError as exc:
+            return VerifyReport(
+                False, f"level pair ({step.lo}, {step.hi}): {exc}", idx, x)
         if not 0 <= step.p_down <= 1:
             return VerifyReport(False, "p_down out of range", idx, x)
         m = step.as_matrix(ctx)

@@ -7,9 +7,8 @@ import pytest
 
 from thermo_ops import (decompose, gibbs_context_from_weights, make_edp_step,
                         thermo_transposition)
-from thermo_ops.cli import (MAX_CONE_LEVELS, MAX_REGION_ROWS,
-                            build_parser, main)
-from thermo_ops.cone import MAX_FACET_LEVELS
+from thermo_ops.cli import MAX_REGION_ROWS, build_parser, main
+from thermo_ops.cone import MAX_CONE_LEVELS, MAX_FACET_LEVELS
 from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
@@ -201,7 +200,7 @@ class TestCone:
 
     def test_facets_over_limit_refused_before_the_walk(
             self, tmp_path, capsys, monkeypatch):
-        """Five levels with --facets are refused before ``thermal_cone``
+        """Five levels with --facets are refused before ``cone_vertices``
         walks the n! orderings that ``hull_facets`` would then refuse."""
         n = MAX_FACET_LEVELS + 1
         D = n * (n + 1) // 2
@@ -211,9 +210,9 @@ class TestCone:
                           population_to_json((F(1),) + (F(0),) * (n - 1)))
 
         def walk(*args, **kwargs):
-            raise AssertionError("thermal_cone ran")
+            raise AssertionError("cone_vertices ran")
 
-        monkeypatch.setattr("thermo_ops.cone.thermal_cone", walk)
+        monkeypatch.setattr("thermo_ops.cone.cone_vertices", walk)
         assert run("cone", "--p", tmp_path / "p.json",
                    "--ctx", tmp_path / "ctx.json", "--facets") == 1
         line = assert_one_error(capsys, "DOMAIN")

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from thermo_ops import (DomainError, cone_membership, cone_vertices,
-                        hull_check, hull_facets, make_gibbs_context,
+                        gibbs_context_from_weights, hull_check,
+                        hull_facets, make_gibbs_context,
                         pull_back, simplex_coordinates, thermal_cone,
                         thermo_majorizes)
 from thermo_ops.cone import _admits
@@ -257,6 +258,25 @@ class TestPlottingAids:
         for eq in cone.hull_facets:
             vals = pts @ np.array(eq[:-1]) + eq[-1]
             assert (vals <= 1e-9).all()
+
+    def test_facets_levels_refused_before_the_walk(self, monkeypatch):
+        """Five levels with facets are refused before ``cone_vertices``
+        walks the n! orderings; nine meet the walk's own cap first."""
+        def call(n):
+            D = n * (n + 1) // 2
+            ctx = gibbs_context_from_weights([F(i, D)
+                                              for i in range(1, n + 1)])
+            thermal_cone((F(1),) + (F(0),) * (n - 1), ctx, facets=True)
+
+        with pytest.raises(DomainError, match="the cap"):
+            call(9)
+
+        def walk(*args, **kwargs):
+            raise AssertionError("cone_vertices ran")
+
+        monkeypatch.setattr("thermo_ops.cone.cone_vertices", walk)
+        with pytest.raises(DomainError, match="n <= 4"):
+            call(5)
 
     def test_simplex_coordinates(self):
         coords = simplex_coordinates([(1, 0, 0), (0, 1, 0), (0, 0, 1)])

@@ -1,13 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from thermo_ops import (ConvexDecomposition, DomainError, Population,
                         StochasticMatrix, ThermoPermutation, apply_plt,
-                        beta_order, embed, gibbs_context_from_weights,
-                        hull_facets, in_convex_hull, is_detailed_balanced,
+                        beta_order, cone_vertices, embed,
+                        gibbs_context_from_weights, hull_facets,
+                        in_convex_hull, is_detailed_balanced,
                         is_gibbs_preserving, lorenz_curve, make_edp_step,
                         make_gibbs_context, make_plt_step,
                         majorization_witness, relative_entropy, relax,
@@ -121,7 +123,12 @@ _RAW_TUPLE_ENTRIES = {
     "in_convex_hull generator": lambda x: in_convex_hull((1, 0, 0), [x]),
     "gibbs_map_exists p": lambda x: gibbs_map_exists(x, _CTX3.g, _CTX3),
     "gibbs_map_exists q": lambda x: gibbs_map_exists(_CTX3.g, x, _CTX3),
+    "StochasticMatrix": lambda x: StochasticMatrix((x, (1, 0, 0),
+                                                    (0, 1, 0))),
 }
+
+#: nine levels, one more than ``MAX_CONE_LEVELS``
+_CTX9 = gibbs_context_from_weights([F(i, 45) for i in range(1, 10)])
 
 
 class TestNonFiniteRawTuples:
@@ -150,11 +157,23 @@ class TestRawTupleMisuse:
         lambda: hull_facets(()),
         lambda: hull_facets([(0.5, 0.5, 0), (1, 0)]),
         lambda: hull_facets([(F(k, 7), 1 - F(k, 7), 0) for k in range(7)]),
+        lambda: StochasticMatrix(((1,), (0, 1))),
+        lambda: ConvexDecomposition((
+            (F(1, 2), ThermoPermutation(StochasticMatrix.identity(2))),
+            (F(1, 2), ThermoPermutation(StochasticMatrix.identity(3))))),
     ], ids=["simplex-zero-sum", "simplex-negative", "hull-dimensions",
-            "facets-no-vertex", "facets-dimensions", "facets-too-many"])
+            "facets-no-vertex", "facets-dimensions", "facets-too-many",
+            "matrix-ragged", "decomposition-mixed-sizes"])
     def test_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+    def test_cone_levels_refused_before_the_walk(self):
+        """Nine levels are refused before the 9! orderings are walked."""
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="the cap"):
+            cone_vertices((F(1),) + (F(0),) * 8, _CTX9)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestValidateStochastic:
@@ -166,8 +185,8 @@ class TestValidateStochastic:
         assert not validate_stochastic(bad, 1e-9)
 
     def test_nan_entry(self):
-        bad = StochasticMatrix(((math.nan, 1.0), (0.0, 1.0)))
-        assert not validate_stochastic(bad, 1e-9)
+        with pytest.raises(DomainError, match="finite"):
+            StochasticMatrix(((math.nan, 1.0), (0.0, 1.0)))
 
     def test_thermo_transposition(self, two_thirds_ctx):
         m = thermo_transposition(two_thirds_ctx, 0, 1).as_matrix(two_thirds_ctx)

@@ -5,6 +5,8 @@ The suite itself has everything loaded, so each check of ``sys.modules``
 runs in a fresh interpreter.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -181,3 +183,18 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         thermo_ops.no_such_name
     assert not hasattr(thermo_ops, "no_such_name")
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every ``(module, function)`` that the benchmark's tracer wraps
+    exists, so a renamed or deleted library function fails here rather
+    than breaking a traced benchmark run.  The tracer module imports only
+    the standard library."""
+    path = os.path.join(os.path.dirname(SRC), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in tracing.TARGETS
+               if not hasattr(importlib.import_module(f"thermo_ops.{mod}"),
+                              attr)]
+    assert tracing.TARGETS and not missing

@@ -654,3 +654,23 @@ class TestVerifySequence:
         report = verify_sequence(empty, (F(1), F(0)), (F(1, 2), F(1, 2)),
                                  two_thirds_ctx)
         assert not report.ok
+
+    @pytest.mark.parametrize("weights, lo, hi, message", [
+        ((F(4, 7), F(2, 7), F(1, 7)), 0, 5, "in range"),
+        ((F(4, 7), F(2, 7), F(1, 7)), 1, 1, "distinct"),
+        ((F(4, 7), F(2, 7), F(1, 7)), 1, 0, "higher-energy"),
+        ((F(1, 2), F(1, 4), F(1, 4)), 1, 2, "degenerate"),
+    ], ids=["out-of-range", "equal", "misordered", "degenerate"])
+    def test_bad_level_pair_reported(self, weights, lo, hi, message):
+        """A hand-built step on a bad level pair is that step's failing
+        report, naming the pair, not an exception."""
+        from thermo_ops.core import EdpStep
+        from thermo_ops.synthesis import EdpSequence
+        ctx = gibbs_context_from_weights(weights)
+        seq = EdpSequence((EdpStep(lo, hi, F(1, 2)),), (), (0, 1, 2),
+                          (0, 1, 2))
+        report = verify_sequence(seq, ctx.g, ctx.g, ctx)
+        assert not report.ok
+        assert report.failing_step == 0
+        assert f"level pair ({lo}, {hi})" in report.reason
+        assert message in report.reason
