@@ -196,10 +196,11 @@ def simulate_mean(dec: ConvexDecomposition, p, samples: int, rng_seed: int):
     """Empirical mean over ``samples`` draws (multinomial counts), plus the
     exact mixture image and the per-coordinate binomial standard deviations.
     """
-    if not 1 <= samples <= 2**63 - 1:  # numpy draws the counts as int64
-        raise DomainError("samples must lie in [1, 2**63 - 1]")
-    if rng_seed < 0:
-        raise DomainError("the seed must be nonnegative")
+    # numpy draws the counts as int64
+    if not isinstance(samples, int) or not 1 <= samples <= 2**63 - 1:
+        raise DomainError("samples must be an integer in [1, 2**63 - 1]")
+    if not isinstance(rng_seed, int) or rng_seed < 0:
+        raise DomainError("the seed must be a nonnegative integer")
     import numpy as np
 
     rng = np.random.default_rng(rng_seed)

@@ -168,6 +168,8 @@ def hull_check(p, ctx: GibbsContext, samples: int = 500, seed: int = 0,
     ctx.require_rational()
     if ctx.D > 12:
         raise DomainError("hull oracle limited to D <= 12")
+    if not isinstance(samples, int) or samples < 1:
+        raise DomainError(f"samples must be a positive integer, got {samples}")
     pv = coerce_exact(as_values(p), "p")
     vertices = cone_vertices(pv, ctx)
     exhaustive = ctx.D <= exhaustive_up_to

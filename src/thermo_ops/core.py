@@ -201,6 +201,15 @@ def as_values(p) -> tuple[Number, ...]:
     return x
 
 
+def as_levels(p, ctx: GibbsContext) -> tuple[Number, ...]:
+    """``as_values`` of a population of the levels of ctx: any other
+    length is a DomainError."""
+    x = as_values(p)
+    if len(x) != ctx.n:
+        raise DomainError("population and context dimensions differ")
+    return x
+
+
 def has_float(*value_groups) -> bool:
     """Whether any of the numbers is a float, the one inexact type."""
     for group in value_groups:  # a plain loop: this runs on every library call

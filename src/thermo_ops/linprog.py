@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DomainError, GibbsContext, as_values
+from .core import DomainError, GibbsContext, as_levels, as_values
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,10 +88,8 @@ def gibbs_map_exists(p, q, ctx: GibbsContext,
     n = ctx.n
     if n > 6:
         raise DomainError("LP oracle limited to n <= 6")
-    pv = [Fraction(v) for v in as_values(p)]
-    qv = [Fraction(v) for v in as_values(q)]
-    if len(pv) != n or len(qv) != n:
-        raise DomainError("population and context dimensions differ")
+    pv = [Fraction(v) for v in as_levels(p, ctx)]
+    qv = [Fraction(v) for v in as_levels(q, ctx)]
     g = [Fraction(v) for v in ctx.g]
 
     def var(i, j):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .core import (DomainError, GibbsContext, Number, as_values, auto_tol,
-                   has_float, norm_tol)
+from .core import (DomainError, GibbsContext, Number, as_levels, as_values,
+                   auto_tol, has_float, norm_tol)
 
 Route = Literal["curve", "abs", "embedded", "all"]
 
@@ -34,11 +34,6 @@ class BetaOrder:
     """
 
     perm: tuple[int, ...]
-
-
-def _check_dims(ctx: GibbsContext, *value_groups) -> None:
-    if any(len(group) != ctx.n for group in value_groups):
-        raise DomainError("population and context dimensions differ")
 
 
 def _scaled(*value_groups):
@@ -133,9 +128,7 @@ class ExactLorenz:
 
 def exact_lorenz(p, ctx: GibbsContext) -> ExactLorenz:
     """Integer Lorenz curve of a population in the slot counts of ctx."""
-    x = as_values(p)
-    _check_dims(ctx, x)
-    (nums,), scale = _scaled(x)
+    (nums,), scale = _scaled(as_levels(p, ctx))
     return ExactLorenz(nums, scale, slot_counts(ctx)[0])
 
 
@@ -168,10 +161,9 @@ def lorenz_violation(a: ExactLorenz, b: ExactLorenz, slack: int = 0):
 
 
 def _curves(pv, qv, ctx: GibbsContext, tol):
-    """The curves of p and q over one common denominator ``scale``, and the
-    resolved tolerance as an integer slack in units of ``1/scale``.  A
-    dimension or normalisation mismatch is a DomainError."""
-    _check_dims(ctx, pv, qv)
+    """The curves of p and q (``as_levels`` values) over one common
+    denominator ``scale``, and the resolved tolerance as an integer slack
+    in units of ``1/scale``.  A normalisation mismatch is a DomainError."""
     t = auto_tol(tol, pv, qv, ctx.g)
     (P, Q, (slack,)), scale = _scaled(pv, qv, (t,))
     gap = abs(sum(P) - sum(Q))
@@ -249,8 +241,8 @@ def thermo_majorizes_curve(p, q, ctx: GibbsContext,
                            tol: Number | None = None) -> bool:
     """Lorenz-curve dominance checked at the elbows of either curve; the
     curves are piecewise linear, so elbow checks are sufficient."""
-    return _dominates(*_curves(as_values(p), as_values(q), ctx, tol),
-                      "curve")
+    return _dominates(
+        *_curves(as_levels(p, ctx), as_levels(q, ctx), ctx, tol), "curve")
 
 
 def majorization_witness(p, q, ctx: GibbsContext,
@@ -260,7 +252,7 @@ def majorization_witness(p, q, ctx: GibbsContext,
     x is a Fraction in a rational context and a float in a float one; the
     curve values are floats when some input number is a float.  Each is the
     exact value, rounded once."""
-    pv, qv = as_values(p), as_values(q)
+    pv, qv = as_levels(p, ctx), as_levels(q, ctx)
     lp, lq, slack = _curves(pv, qv, ctx, tol)
     return _witness(lorenz_violation(lp, lq, slack), lp.scale, ctx,
                     has_float(pv, qv, ctx.g))
@@ -294,7 +286,8 @@ def thermo_majorizes_abs(p, q, ctx: GibbsContext,
     p's kinks in one ascending sweep over the curves' blocks, already in
     key order (``O(n)`` once the curves are built).
     """
-    return _dominates(*_curves(as_values(p), as_values(q), ctx, tol), "abs")
+    return _dominates(
+        *_curves(as_levels(p, ctx), as_levels(q, ctx), ctx, tol), "abs")
 
 
 def _abs_majorize(r, s, slack: int) -> bool:
@@ -335,9 +328,7 @@ def embed(p, ctx: GibbsContext) -> tuple[Number, ...]:
     """Split level i into d_i equal slots; maps the Gibbs state to the
     uniform distribution on D slots."""
     ctx.require_rational()
-    x = as_values(p)
-    if len(x) != ctx.n:
-        raise DomainError("population and context dimensions differ")
+    x = as_levels(p, ctx)
     out = []
     for xi, di in zip(x, ctx.d):
         if isinstance(xi, float):
@@ -414,8 +405,8 @@ def thermo_majorizes_embedded(p, q, ctx: GibbsContext,
     blocks (value p_i/d_i repeated d_i times), so no D slots are built.
     The slot values are the ratio keys over the common denominator
     ``scale * lam``, so every partial sum is an integer."""
-    return _dominates(*_curves(as_values(p), as_values(q), ctx, tol),
-                      "embedded")
+    return _dominates(
+        *_curves(as_levels(p, ctx), as_levels(q, ctx), ctx, tol), "embedded")
 
 
 def thermo_majorizes(p, q, ctx: GibbsContext, tol: Number | None = None,
@@ -438,8 +429,7 @@ def thermo_majorizes(p, q, ctx: GibbsContext, tol: Number | None = None,
 def relative_entropy(x, ctx: GibbsContext,
                      tol: Number | None = None) -> float:
     """S(x||g) in nats, with 0 log 0 = 0; zero exactly at the thermal state."""
-    xv = as_values(x)
-    _check_dims(ctx, xv)
+    xv = as_levels(x, ctx)
     if abs(sum(xv) - 1) > norm_tol(auto_tol(tol, xv), xv):
         raise DomainError("relative entropy expects a normalised population")
     total = 0.0
@@ -451,6 +441,6 @@ def relative_entropy(x, ctx: GibbsContext,
 
 def perpetuum_rate(x, ctx: GibbsContext, w: float) -> float:
     """Work-extraction rate S(x||g)/w of a hypothetical cycle fed by x."""
-    if w <= 0:
-        raise DomainError("work quantum must be positive")
+    if not 0 < w < math.inf:  # negated, so that NaN fails too
+        raise DomainError(f"work quantum must be positive and finite, got {w}")
     return relative_entropy(x, ctx) / w

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
+from .core import (DomainError, EdpStep, GibbsContext, Number, as_levels,
                    auto_tol, check_level_pair, coerce_exact,
                    is_detailed_balanced, make_edp_step, validate_stochastic)
 from .majorization import ExactLorenz, _curves, _witness, lorenz_violation
@@ -78,9 +78,8 @@ class EdpSequence:
 def apply_edp(step: EdpStep, p, ctx: GibbsContext) -> tuple[Number, ...]:
     """Act with the two-level step; other levels are untouched and the
     normalisation is preserved."""
-    if ctx.degenerate_pair(step.lo, step.hi):
-        raise DomainError("cannot apply a step on a degenerate pair")
-    x = list(as_values(p))
+    check_level_pair(ctx, step.lo, step.hi)
+    x = list(as_levels(p, ctx))
     up = step.up_factor(ctx) * step.p_down
     lo, hi = x[step.lo], x[step.hi]
     x[step.lo] = (1 - up) * lo + step.p_down * hi
@@ -411,8 +410,8 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
     two-level detailed-balanced steps alone).
     """
     ctx.require_rational()
-    pv = coerce_exact(as_values(p), "p")
-    qv = coerce_exact(as_values(q), "q")
+    pv = coerce_exact(as_levels(p, ctx), "p")
+    qv = coerce_exact(as_levels(q, ctx), "q")
     source, target, _ = _curves(pv, qv, ctx, None)
     witness = _witness(lorenz_violation(source, target), source.scale, ctx,
                        False)
@@ -518,9 +517,10 @@ def verify_sequence(seq: EdpSequence, p, q, ctx: GibbsContext,
                     tol: Number | None = None) -> VerifyReport:
     """Replay the steps and check each one's level pair
     (``check_level_pair``), stochasticity, detailed balance and the
-    terminal state; returns diagnostics instead of raising."""
-    pv = as_values(p)
-    qv = as_values(q)
+    terminal state; a failing step is a report, a malformed p, q or
+    ``tol`` a DomainError."""
+    pv = as_levels(p, ctx)
+    qv = as_levels(q, ctx)
     t = auto_tol(tol, pv, qv, ctx.g)
     x = pv
     for idx, step in enumerate(seq.steps):

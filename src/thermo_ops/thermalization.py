@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (DomainError, EdpStep, GibbsContext, Number, as_values,
+from .core import (DomainError, EdpStep, GibbsContext, Number, as_levels,
                    check_level_pair, make_edp_step)
 from .majorization import beta_order, thermo_majorizes
 
@@ -21,9 +21,7 @@ def relax(p0, t: float, xi: float, ctx: GibbsContext) -> tuple[float, ...]:
                           f"finite, got {xi}")
     if not t >= 0:
         raise DomainError(f"time must be nonnegative, got {t}")
-    x = as_values(p0)
-    if len(x) != ctx.n:
-        raise DomainError("population and context dimensions differ")
+    x = as_levels(p0, ctx)
     w = math.exp(-t / xi)
     norm = float(sum(x))
     return tuple(w * float(value) + norm * (1.0 - w) * float(gi)
@@ -49,6 +47,7 @@ def make_plt_step(ctx: GibbsContext, lo: int, hi: int,
 
 
 def _pair_weights(ctx: GibbsContext, lo: int, hi: int):
+    check_level_pair(ctx, lo, hi)
     # g holds Fractions in a rational context and floats in a float one
     glo, ghi = ctx.g[lo], ctx.g[hi]
     return glo / (glo + ghi), ghi / (glo + ghi)
@@ -57,8 +56,8 @@ def _pair_weights(ctx: GibbsContext, lo: int, hi: int):
 def apply_plt(step: PltStep, x, ctx: GibbsContext) -> tuple[Number, ...]:
     """(x_lo, x_hi) -> (1 - eps)(x_lo, x_hi) + eps * N_pair * g_pair, other
     levels untouched."""
-    xv = list(as_values(x))
     wlo, whi = _pair_weights(ctx, step.lo, step.hi)
+    xv = list(as_levels(x, ctx))
     npair = xv[step.lo] + xv[step.hi]
     eps = step.epsilon
     xv[step.lo] = (1 - eps) * xv[step.lo] + eps * npair * wlo
@@ -102,9 +101,10 @@ def repeated_edp_limit(step: EdpStep, x, n: int,
     """Closed form of the n-fold application on the pair:
     the lower occupation relaxes geometrically at rate (1 - p_down * Z) with
     Z = 1 + exp(-beta_bar), toward the pair thermal share."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    xv = list(as_values(x))
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    check_level_pair(ctx, step.lo, step.hi)
+    xv = list(as_levels(x, ctx))
     lam = step.p_down
     z = 1 + step.up_factor(ctx)
     npair = xv[step.lo] + xv[step.hi]

@@ -7,13 +7,14 @@ import pytest
 
 from thermo_ops import (ConvexDecomposition, DomainError, Population,
                         StochasticMatrix, ThermoPermutation, apply_plt,
-                        beta_order, cone_vertices, embed,
-                        gibbs_context_from_weights, hull_facets,
+                        beta_order, cone_vertices, decompose, embed,
+                        gibbs_context_from_weights, hull_check, hull_facets,
                         in_convex_hull, is_detailed_balanced,
                         is_gibbs_preserving, lorenz_curve, make_edp_step,
                         make_gibbs_context, make_plt_step,
-                        majorization_witness, relative_entropy, relax,
-                        simplex_coordinates, thermo_majorizes,
+                        majorization_witness, perpetuum_rate,
+                        relative_entropy, relax, repeated_edp_limit,
+                        simplex_coordinates, simulate_mean, thermo_majorizes,
                         thermo_transposition, unembed, validate_stochastic)
 from thermo_ops.core import MAX_FIT_TOTAL, as_values, auto_tol
 from thermo_ops.io import population_to_json
@@ -174,6 +175,43 @@ class TestRawTupleMisuse:
         with pytest.raises(DomainError, match="the cap"):
             cone_vertices((F(1),) + (F(0),) * 8, _CTX9)
         assert time.perf_counter() - t0 < 1.0
+
+
+_CTX4 = gibbs_context_from_weights([F(5, 11), F(3, 11), F(2, 11), F(1, 11)])
+
+
+def _simulate(samples, seed):
+    T = thermo_transposition(_CTX3, 0, 1).as_matrix(_CTX3)
+    return simulate_mean(decompose(T, _CTX3), _CTX3.g, samples, seed)
+
+
+def _repeat(n):
+    return repeated_edp_limit(make_edp_step(_CTX3, 0, 1, F(1, 2)), _CTX3.g,
+                              n, _CTX3)
+
+
+class TestScalarArgumentMisuse:
+    """A NaN, infinite or fractional count and a NaN or infinite work
+    quantum are DomainErrors, not a wrong answer or a bare Python error."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: perpetuum_rate(_CTX3.g, _CTX3, math.nan),
+        lambda: perpetuum_rate(_CTX3.g, _CTX3, math.inf),
+        lambda: _repeat(math.nan),
+        lambda: _repeat(2.5),
+        lambda: _repeat(math.inf),
+        lambda: _simulate(2.5, 1),
+        lambda: _simulate(10, math.nan),
+        # D = 11 takes the sampled branch, which would check no image
+        lambda: hull_check((F(1), F(0), F(0), F(0)), _CTX4, samples=-1),
+        lambda: hull_check((F(1), F(0), F(0), F(0)), _CTX4, samples=0),
+    ], ids=["rate-nan-work", "rate-infinite-work", "repeat-nan",
+            "repeat-fractional", "repeat-infinite", "simulate-fractional",
+            "simulate-nan-seed", "hull-negative-samples",
+            "hull-zero-samples"])
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestValidateStochastic:

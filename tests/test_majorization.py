@@ -7,14 +7,16 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from thermo_ops import (DomainError, beta_order, cone_vertices, embed,
+from thermo_ops import (DomainError, EdpSequence, apply_edp, apply_plt,
+                        beta_order, cone_vertices, embed,
                         gibbs_context_from_weights, is_thermalisation_of,
-                        lorenz_curve, make_gibbs_context,
-                        majorization_witness, majorizes_classical,
-                        perpetuum_rate, relative_entropy, synthesize,
+                        lorenz_curve, make_edp_step, make_gibbs_context,
+                        make_plt_step, majorization_witness,
+                        majorizes_classical, perpetuum_rate, relax,
+                        relative_entropy, repeated_edp_limit, synthesize,
                         thermo_majorizes, thermo_majorizes_abs,
                         thermo_majorizes_curve, thermo_majorizes_embedded,
-                        unembed)
+                        unembed, verify_sequence)
 from thermo_ops.linprog import gibbs_map_exists
 from thermo_ops.majorization import _abs_majorize, exact_lorenz
 
@@ -471,14 +473,33 @@ class TestEntropyAndRate:
             perpetuum_rate(two_thirds_ctx.g, two_thirds_ctx, 0.0)
 
 
+_CTX3 = gibbs_context_from_weights([F(1, 2), F(1, 3), F(1, 6)])
+_STEP3 = make_edp_step(_CTX3, 0, 1, F(1, 2))
+_NO_STEPS = EdpSequence((), (), (0, 1, 2), (0, 1, 2))
+
+
 @pytest.mark.parametrize("call", [
     synthesize, thermo_majorizes, majorization_witness, is_thermalisation_of,
     lambda p, q, ctx: cone_vertices(p, ctx),
+    lambda p, q, ctx: apply_edp(_STEP3, p, ctx),
+    lambda p, q, ctx: apply_plt(make_plt_step(ctx, 0, 1, F(1, 2)), p, ctx),
+    lambda p, q, ctx: repeated_edp_limit(_STEP3, p, 3, ctx),
+    lambda p, q, ctx: verify_sequence(_NO_STEPS, q, p, ctx),
+    lambda p, q, ctx: verify_sequence(_NO_STEPS, p, p, ctx),
+    lambda p, q, ctx: relax(p, 1.0, 1.0, ctx),
+    lambda p, q, ctx: embed(p, ctx),
+    lambda p, q, ctx: relative_entropy(p, ctx),
+    gibbs_map_exists,
 ], ids=["synthesize", "thermo_majorizes", "majorization_witness",
-        "is_thermalisation_of", "cone_vertices"])
+        "is_thermalisation_of", "cone_vertices", "apply_edp", "apply_plt",
+        "repeated_edp_limit", "verify_sequence-q", "verify_sequence-p-q",
+        "relax", "embed", "relative_entropy", "gibbs_map_exists"])
 def test_short_population_is_a_dimension_error(call):
-    ctx = gibbs_context_from_weights([F(1, 2), F(1, 3), F(1, 6)])
-    p, q = (F(1, 2), F(1, 2)), (F(1, 3), F(1, 3), F(1, 3))
-    with pytest.raises(DomainError,
-                       match="^population and context dimensions differ$"):
-        call(p, q, ctx)
+    """A population p one level short or one level long is the same
+    DomainError at every entry point."""
+    ctx = _CTX3
+    q = (F(1, 3), F(1, 3), F(1, 3))
+    for p in ((F(1, 2), F(1, 2)), (F(1, 4),) * 4):
+        with pytest.raises(DomainError,
+                           match="^population and context dimensions differ$"):
+            call(p, q, ctx)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from thermo_ops import (DomainError, apply_edp, apply_plt, beta_order,
-                        edp_to_plt, gibbs_context_from_weights,
+from thermo_ops import (DomainError, EdpStep, PltStep, apply_edp, apply_plt,
+                        beta_order, edp_to_plt, gibbs_context_from_weights,
                         is_markovian_edp, is_thermalisation_of,
                         make_edp_step, make_gibbs_context, make_plt_step,
                         markov_p_down_max, plt_to_edp, relax,
@@ -122,6 +122,29 @@ class TestLevelPairChecks:
         for make in (make_edp_step, make_plt_step):
             with pytest.raises(DomainError, match="degenerate"):
                 make(ctx, 1, 2, F(1, 2))
+
+    @pytest.mark.parametrize("weights, lo, hi, message", [
+        ((F(4, 7), F(2, 7), F(1, 7)), 0, 5, "two distinct levels in range"),
+        ((F(4, 7), F(2, 7), F(1, 7)), 0, -1, "two distinct levels in range"),
+        ((F(4, 7), F(2, 7), F(1, 7)), 1, 1, "two distinct levels in range"),
+        ((F(4, 7), F(2, 7), F(1, 7)), 2, 0, "higher-energy"),
+        ((F(1, 2), F(1, 4), F(1, 4)), 1, 2, "levels 1 and 2 are degenerate"),
+    ], ids=["out-of-range", "wrapped", "equal", "misordered", "degenerate"])
+    @pytest.mark.parametrize("call", [
+        lambda lo, hi, x, ctx: apply_edp(EdpStep(lo, hi, F(1, 2)), x, ctx),
+        lambda lo, hi, x, ctx: apply_plt(PltStep(lo, hi, F(1, 2)), x, ctx),
+        lambda lo, hi, x, ctx: repeated_edp_limit(EdpStep(lo, hi, F(1, 2)),
+                                                  x, 3, ctx),
+        lambda lo, hi, x, ctx: is_markovian_edp(EdpStep(lo, hi, F(1, 2)),
+                                                ctx),
+    ], ids=["apply_edp", "apply_plt", "repeated_edp_limit",
+            "is_markovian_edp"])
+    def test_hand_built_step_refused(self, call, weights, lo, hi, message):
+        """A step built without its validating constructor is refused by
+        every function that applies it, with the constructors' error."""
+        ctx = gibbs_context_from_weights(weights)
+        with pytest.raises(DomainError, match=message):
+            call(lo, hi, ctx.g, ctx)
 
 
 class TestMarkovianity:
