@@ -347,7 +347,10 @@ class EdpStep:
     p_down: Number
 
     def up_factor(self, ctx: GibbsContext) -> Number:
-        """Boltzmann factor for the reverse jump, g_hi/g_lo."""
+        """Boltzmann factor for the reverse jump, g_hi/g_lo; every use of
+        the step in ctx reads it, so it refuses a bad level pair
+        (``check_level_pair``)."""
+        check_level_pair(ctx, self.lo, self.hi)
         if ctx.rational:
             return Fraction(ctx.g[self.hi], ctx.g[self.lo])
         return math.exp(-(ctx.energies[self.hi] - ctx.energies[self.lo]))

@@ -78,7 +78,6 @@ class EdpSequence:
 def apply_edp(step: EdpStep, p, ctx: GibbsContext) -> tuple[Number, ...]:
     """Act with the two-level step; other levels are untouched and the
     normalisation is preserved."""
-    check_level_pair(ctx, step.lo, step.hi)
     x = list(as_levels(p, ctx))
     up = step.up_factor(ctx) * step.p_down
     lo, hi = x[step.lo], x[step.hi]

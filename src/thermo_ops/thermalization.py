@@ -56,8 +56,8 @@ def _pair_weights(ctx: GibbsContext, lo: int, hi: int):
 def apply_plt(step: PltStep, x, ctx: GibbsContext) -> tuple[Number, ...]:
     """(x_lo, x_hi) -> (1 - eps)(x_lo, x_hi) + eps * N_pair * g_pair, other
     levels untouched."""
-    wlo, whi = _pair_weights(ctx, step.lo, step.hi)
     xv = list(as_levels(x, ctx))
+    wlo, whi = _pair_weights(ctx, step.lo, step.hi)
     npair = xv[step.lo] + xv[step.hi]
     eps = step.epsilon
     xv[step.lo] = (1 - eps) * xv[step.lo] + eps * npair * wlo
@@ -103,7 +103,6 @@ def repeated_edp_limit(step: EdpStep, x, n: int,
     Z = 1 + exp(-beta_bar), toward the pair thermal share."""
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
-    check_level_pair(ctx, step.lo, step.hi)
     xv = list(as_levels(x, ctx))
     lam = step.p_down
     z = 1 + step.up_factor(ctx)

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from thermo_ops import (DomainError, EdpStep, PltStep, apply_edp, apply_plt,
-                        beta_order, edp_to_plt, gibbs_context_from_weights,
-                        is_markovian_edp, is_thermalisation_of,
-                        make_edp_step, make_gibbs_context, make_plt_step,
-                        markov_p_down_max, plt_to_edp, relax,
-                        repeated_edp_limit, thermo_transposition)
+                        beta_order, compose_edps_same_pair, edp_to_plt,
+                        gibbs_context_from_weights, is_markovian_edp,
+                        is_thermalisation_of, make_edp_step,
+                        make_gibbs_context, make_plt_step, markov_p_down_max,
+                        plt_to_edp, relax, repeated_edp_limit,
+                        thermo_transposition)
 
 from conftest import rand_ctx, rand_pop, usable_pairs
 
@@ -137,8 +138,11 @@ class TestLevelPairChecks:
                                                   x, 3, ctx),
         lambda lo, hi, x, ctx: is_markovian_edp(EdpStep(lo, hi, F(1, 2)),
                                                 ctx),
+        lambda lo, hi, x, ctx: EdpStep(lo, hi, F(1, 2)).as_matrix(ctx),
+        lambda lo, hi, x, ctx: compose_edps_same_pair(
+            EdpStep(lo, hi, F(1, 2)), EdpStep(lo, hi, F(1, 4)), ctx),
     ], ids=["apply_edp", "apply_plt", "repeated_edp_limit",
-            "is_markovian_edp"])
+            "is_markovian_edp", "as_matrix", "compose_edps_same_pair"])
     def test_hand_built_step_refused(self, call, weights, lo, hi, message):
         """A step built without its validating constructor is refused by
         every function that applies it, with the constructors' error."""
