@@ -191,8 +191,9 @@ def _repeat(n):
 
 
 class TestScalarArgumentMisuse:
-    """A NaN, infinite or fractional count and a NaN or infinite work
-    quantum are DomainErrors, not a wrong answer or a bare Python error."""
+    """A NaN, infinite, fractional or too small count and a NaN or
+    infinite work quantum are DomainErrors, not a wrong answer or a bare
+    Python error."""
 
     @pytest.mark.parametrize("call", [
         lambda: perpetuum_rate(_CTX3.g, _CTX3, math.nan),

@@ -497,9 +497,8 @@ _NO_STEPS = EdpSequence((), (), (0, 1, 2), (0, 1, 2))
 def test_short_population_is_a_dimension_error(call):
     """A population p one level short or one level long is the same
     DomainError at every entry point."""
-    ctx = _CTX3
     q = (F(1, 3), F(1, 3), F(1, 3))
     for p in ((F(1, 2), F(1, 2)), (F(1, 4),) * 4):
         with pytest.raises(DomainError,
                            match="^population and context dimensions differ$"):
-            call(p, q, ctx)
+            call(p, q, _CTX3)
