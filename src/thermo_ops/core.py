@@ -337,14 +337,18 @@ def is_detailed_balanced(T: StochasticMatrix, ctx: GibbsContext,
 class EdpStep:
     """Elementary detailed-balanced process on one level pair.
 
-    ``p_down`` is the de-exciting probability E[lo|hi]; detailed balance fixes
-    the exciting probability to E[hi|lo] = (g_hi/g_lo) * p_down and
-    stochasticity fixes the diagonal.
+    ``p_down`` is the de-exciting probability E[lo|hi], a DomainError unless
+    it lies in [0, 1]; detailed balance fixes E[hi|lo] = (g_hi/g_lo) * p_down
+    and stochasticity fixes the diagonal.
     """
 
     lo: int
     hi: int
     p_down: Number
+
+    def __post_init__(self):
+        if not 0 <= self.p_down <= 1:  # negated, so that NaN fails too
+            raise DomainError("p_down must lie in [0, 1]")
 
     def up_factor(self, ctx: GibbsContext) -> Number:
         """Boltzmann factor for the reverse jump, g_hi/g_lo; every use of
@@ -387,11 +391,8 @@ def check_level_pair(ctx: GibbsContext, lo: int, hi: int) -> None:
 
 def make_edp_step(ctx: GibbsContext, lo: int, hi: int,
                   p_down: Number) -> EdpStep:
-    """Validated constructor; rejects degenerate pairs, which admit no
-    detailed-balanced process with distinct frequencies."""
+    """``EdpStep`` plus the one rule that needs ctx, ``check_level_pair``."""
     check_level_pair(ctx, lo, hi)
-    if not 0 <= p_down <= 1:
-        raise DomainError("p_down must lie in [0, 1]")
     return EdpStep(lo, hi, p_down)
 
 

@@ -212,8 +212,8 @@ def find_s_for_target(target: float, beta_bar: float,
         raise DomainError("target must lie in [0, 1]")
     if tol is None:
         tol = SOLVE_TOL
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     m = jc_params(beta_bar, 0.0, tol=min(tol / 4, 1e-10)).m
     if m > MAX_SOLVE_TERMS:
         raise DomainError(

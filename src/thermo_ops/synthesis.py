@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_levels,
-                   auto_tol, check_level_pair, coerce_exact,
-                   is_detailed_balanced, make_edp_step, validate_stochastic)
+                   auto_tol, coerce_exact, is_detailed_balanced,
+                   make_edp_step, validate_stochastic)
 from .majorization import ExactLorenz, _curves, _witness, lorenz_violation
 
 
@@ -99,7 +99,7 @@ def compose_edps_same_pair(a: EdpStep, b: EdpStep,
         raise DomainError("steps act on different level pairs")
     z = 1 + a.up_factor(ctx)
     p3 = a.p_down + b.p_down - a.p_down * b.p_down * z
-    return make_edp_step(ctx, a.lo, a.hi, p3)
+    return EdpStep(a.lo, a.hi, p3)
 
 
 # --------------------------------------------------------------------------
@@ -514,8 +514,8 @@ class VerifyReport:
 
 def verify_sequence(seq: EdpSequence, p, q, ctx: GibbsContext,
                     tol: Number | None = None) -> VerifyReport:
-    """Replay the steps and check each one's level pair
-    (``check_level_pair``), stochasticity, detailed balance and the
+    """Replay the steps and check each one's level pair (``as_matrix``
+    runs ``check_level_pair``), stochasticity, detailed balance and the
     terminal state; a failing step is a report, a malformed p, q or
     ``tol`` a DomainError."""
     pv = as_levels(p, ctx)
@@ -524,13 +524,10 @@ def verify_sequence(seq: EdpSequence, p, q, ctx: GibbsContext,
     x = pv
     for idx, step in enumerate(seq.steps):
         try:
-            check_level_pair(ctx, step.lo, step.hi)
+            m = step.as_matrix(ctx)
         except DomainError as exc:
             return VerifyReport(
                 False, f"level pair ({step.lo}, {step.hi}): {exc}", idx, x)
-        if not 0 <= step.p_down <= 1:
-            return VerifyReport(False, "p_down out of range", idx, x)
-        m = step.as_matrix(ctx)
         if not validate_stochastic(m, t):
             return VerifyReport(False, "step is not stochastic", idx, x)
         if not is_detailed_balanced(m, ctx, t):

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_levels,
-                   check_level_pair, make_edp_step)
+                   check_level_pair)
 from .majorization import beta_order, thermo_majorizes
 
 
@@ -31,18 +31,20 @@ def relax(p0, t: float, xi: float, ctx: GibbsContext) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class PltStep:
     """Partial level thermalisation: mix a level pair toward its pairwise
-    Gibbs state with weight epsilon."""
+    Gibbs state with weight epsilon, a DomainError unless it lies in [0, 1]."""
 
     lo: int
     hi: int
     epsilon: Number
 
+    def __post_init__(self):
+        if not 0 <= self.epsilon <= 1:  # negated, so that NaN fails too
+            raise DomainError("epsilon must lie in [0, 1]")
+
 
 def make_plt_step(ctx: GibbsContext, lo: int, hi: int,
                   epsilon: Number) -> PltStep:
     check_level_pair(ctx, lo, hi)
-    if not 0 <= epsilon <= 1:
-        raise DomainError("epsilon must lie in [0, 1]")
     return PltStep(lo, hi, epsilon)
 
 
@@ -76,7 +78,7 @@ def plt_to_edp(step: PltStep, ctx: GibbsContext) -> EdpStep:
     """Every partial level thermalisation is an elementary step with
     p_down = eps / (1 + exp(-beta_bar))."""
     p_down = step.epsilon * markov_p_down_max(ctx, step.lo, step.hi)
-    return make_edp_step(ctx, step.lo, step.hi, p_down)
+    return EdpStep(step.lo, step.hi, p_down)
 
 
 def edp_to_plt(step: EdpStep, ctx: GibbsContext) -> PltStep:
@@ -86,7 +88,7 @@ def edp_to_plt(step: EdpStep, ctx: GibbsContext) -> PltStep:
         raise DomainError(
             f"p_down={step.p_down} exceeds the thermalisation bound {cap}; "
             "the step is not Markovian")
-    return make_plt_step(ctx, step.lo, step.hi, step.p_down / cap)
+    return PltStep(step.lo, step.hi, step.p_down / cap)
 
 
 def is_markovian_edp(step: EdpStep, ctx: GibbsContext) -> bool:

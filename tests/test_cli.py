@@ -565,13 +565,14 @@ class TestToleranceOption:
 
 
 class TestNumericArguments:
-    """jc-solve and relax reject NaN, zero and negative values and a solve
-    beyond the term cap with one error line (exit 1)."""
+    """jc-solve and relax reject NaN, infinite, zero and negative values
+    and a solve beyond the term cap with one error line (exit 1)."""
 
     @pytest.mark.parametrize("argv", [
         ("--beta-bar", "nan"), ("--beta-bar", "inf"),
         ("--beta-bar", "1", "--tol", "0"), ("--beta-bar", "1", "--tol", "-1"),
-        ("--beta-bar", "1", "--tol", "nan")])
+        ("--beta-bar", "1", "--tol", "nan"),
+        ("--beta-bar", "1", "--tol", "inf")])
     def test_jc_solve_bad_value(self, argv, capsys):
         assert run("jc-solve", "--target", 0.3, *argv) == 1
         assert_one_error(capsys, "DOMAIN")

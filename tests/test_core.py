@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -5,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from thermo_ops import (ConvexDecomposition, DomainError, Population,
-                        StochasticMatrix, ThermoPermutation, apply_plt,
+from thermo_ops import (ConvexDecomposition, DomainError, EdpStep,
+                        Population, PltStep, StochasticMatrix,
+                        ThermoPermutation, apply_edp, apply_plt,
                         beta_order, cone_vertices, decompose, embed,
-                        gibbs_context_from_weights, hull_check, hull_facets,
+                        find_s_for_target, gibbs_context_from_weights,
+                        hull_check, hull_facets,
                         in_convex_hull, is_detailed_balanced,
                         is_gibbs_preserving, lorenz_curve, make_edp_step,
                         make_gibbs_context, make_plt_step,
@@ -178,6 +181,11 @@ class TestRawTupleMisuse:
 
 
 _CTX4 = gibbs_context_from_weights([F(5, 11), F(3, 11), F(2, 11), F(1, 11)])
+_CTX7 = gibbs_context_from_weights([F(4, 7), F(2, 7), F(1, 7)])
+_THIRDS = (F(1, 3), F(1, 3), F(1, 3))
+#: step parameters outside [0, 1], which every step refuses when built
+_OUT_OF_UNIT = {"nan": math.nan, "inf": math.inf, "minus-inf": -math.inf,
+                "minus-tenth": F(-1, 10), "three-halves": F(3, 2)}
 
 
 def _simulate(samples, seed):
@@ -191,9 +199,10 @@ def _repeat(n):
 
 
 class TestScalarArgumentMisuse:
-    """A NaN, infinite, fractional or too small count and a NaN or
-    infinite work quantum are DomainErrors, not a wrong answer or a bare
-    Python error."""
+    """A NaN, infinite, fractional or too small count, a NaN or infinite
+    work quantum or solve tolerance, and a step parameter outside [0, 1]
+    are DomainErrors, not a wrong answer or a bare Python error.  A step
+    refuses its parameter where it is built, so no use of it sees one."""
 
     @pytest.mark.parametrize("call", [
         lambda: perpetuum_rate(_CTX3.g, _CTX3, math.nan),
@@ -206,10 +215,24 @@ class TestScalarArgumentMisuse:
         # D = 11 takes the sampled branch, which would check no image
         lambda: hull_check((F(1), F(0), F(0), F(0)), _CTX4, samples=-1),
         lambda: hull_check((F(1), F(0), F(0), F(0)), _CTX4, samples=0),
+        *(lambda v=v: EdpStep(0, 1, v) for v in _OUT_OF_UNIT.values()),
+        *(lambda v=v: PltStep(0, 1, v) for v in _OUT_OF_UNIT.values()),
+        lambda: dataclasses.replace(make_edp_step(_CTX7, 0, 1, F(1, 2)),
+                                    p_down=2),
+        # each of these three returned a value before steps checked their
+        # own range: (nan, nan, 1/3), (8/9, -2/9, 1/3) and (4/3, -2/3, 1/3)
+        lambda: apply_edp(EdpStep(0, 1, math.nan), _THIRDS, _CTX7),
+        lambda: apply_plt(PltStep(0, 1, 5), _THIRDS, _CTX7),
+        lambda: repeated_edp_limit(EdpStep(0, 1, 2), _THIRDS, 3, _CTX7),
+        lambda: find_s_for_target(0.3, 1.0, math.inf),
     ], ids=["rate-nan-work", "rate-infinite-work", "repeat-nan",
             "repeat-fractional", "repeat-infinite", "simulate-fractional",
             "simulate-nan-seed", "hull-negative-samples",
-            "hull-zero-samples"])
+            "hull-zero-samples",
+            *(f"edp-step-{name}" for name in _OUT_OF_UNIT),
+            *(f"plt-step-{name}" for name in _OUT_OF_UNIT),
+            "replace-p-down", "apply-edp-nan", "apply-plt-five",
+            "repeat-p-down-two", "solve-infinite-tol"])
     def test_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
