@@ -219,8 +219,8 @@ class TestScalarArgumentMisuse:
         *(lambda v=v: PltStep(0, 1, v) for v in _OUT_OF_UNIT.values()),
         lambda: dataclasses.replace(make_edp_step(_CTX7, 0, 1, F(1, 2)),
                                     p_down=2),
-        # each of these three returned a value before steps checked their
-        # own range: (nan, nan, 1/3), (8/9, -2/9, 1/3) and (4/3, -2/3, 1/3)
+        # applied, these steps would give (nan, nan, 1/3), (8/9, -2/9, 1/3)
+        # and (4/3, -2/3, 1/3): a NaN or negative population
         lambda: apply_edp(EdpStep(0, 1, math.nan), _THIRDS, _CTX7),
         lambda: apply_plt(PltStep(0, 1, 5), _THIRDS, _CTX7),
         lambda: repeated_edp_limit(EdpStep(0, 1, 2), _THIRDS, 3, _CTX7),
