@@ -6,9 +6,11 @@ maps p to q exactly.  The solver is layered:
 
 * when p and q share a beta-order, the classical transfer loop of the
   embedding runs on the level vector: excess levels drain their slots from
-  the tail, deficit levels fill theirs from the head, one slot at a time,
-  so each slot follows from its level's sum and each transfer settles one;
-  the run ends within D - 1 transfers;
+  the tail, deficit levels fill theirs from the head, so each slot follows
+  from its level's sum.  Grouped, one transfer moves a whole level run,
+  the last excess level to the first later deficit level until one of
+  them is settled, and the run ends within n - 1 transfers; ungrouped,
+  each transfer settles one slot and the run ends within D - 1;
 * otherwise a portfolio of exact greedy schedules is tried, each move capped
   so that every intermediate state still thermo-majorizes the target.
 
@@ -44,12 +46,14 @@ class SynthesisError(DomainError):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Ungrouped provenance of one transfer.
+    """Provenance of one transfer, before same-pair steps are grouped.
 
     ``j_ex``/``j_df`` are 1-based slot positions in the beta-sorted embedding
     at the time of the transfer (donor block tail, receiver block head),
     ``delta`` the level mass moved and ``lam`` the identity weight of the
-    step's mixture form ``lam * I + (1 - lam) * (extreme step)``.
+    step's mixture form ``lam * I + (1 - lam) * (extreme step)``.  A
+    grouped aligned transfer moves a whole level run: its slots are the
+    run's first, and ``lam`` is ``1 - p_down`` of the level step.
     """
 
     lo: int
@@ -114,9 +118,10 @@ class _Unreachable(Exception):
     pass
 
 
-def _synth_aligned(source, target):
+def _synth_aligned(source, target, group):
     """Classical transfer loop on the level vector for beta-aligned pairs
-    (the curves of p and q over one scale); see module docstring.
+    (the curves of p and q over one scale); see module docstring.  With
+    ``group`` each transfer moves a level run, otherwise one slot.
 
     Over ``scale * lcm(d)`` every per-slot excess (p_i - q_i)/d_i and every
     slot value is an integer, so the whole run stays on that one scale."""
@@ -147,12 +152,17 @@ def _synth_aligned(source, target):
         if b is None:
             raise _Unreachable("no deficit slot after the last excess slot")
         (j_ex, u_ex, gap_ex), (j_df, u_df, gap_df) = active(a), active(b)
-        delta = min(gap_ex, -gap_df)
-        spread = u_ex - u_df
+        if group:
+            # ``_replay`` derives lam from the level step it builds
+            delta, lam = min(x[a] - q[a], q[b] - x[b]), None
+        else:
+            delta = min(gap_ex, -gap_df)
+            spread = u_ex - u_df
+            lam = Fraction(spread - delta, spread)
         x[a] -= delta
         x[b] += delta
-        transfers.append((a, b, Fraction(delta, unit), j_ex, j_df,
-                          Fraction(spread - delta, spread), "aligned"))
+        transfers.append((a, b, Fraction(delta, unit), j_ex, j_df, lam,
+                          "aligned"))
     return transfers
 
 
@@ -429,7 +439,8 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
         return _Run(source, target, q_at)
 
     tau = relabel_out
-    strategies = [("aligned", lambda: _synth_aligned(source, target))]
+    strategies = [("aligned", lambda: _synth_aligned(source, target,
+                                                     group))]
     for asc, way in ((True, "ascending"), (False, "descending")):
         strategies.append((f"phase-{way}", lambda a=asc: _run_phases(
             run(), tau[:-1], a)))

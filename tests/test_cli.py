@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import thermo_ops
 from thermo_ops import (decompose, gibbs_context_from_weights, make_edp_step,
                         thermo_transposition)
 from thermo_ops.cli import MAX_REGION_ROWS, build_parser, main
@@ -78,6 +82,29 @@ class TestSynthesize:
         assert seq["steps"] == [{"lo": 0, "hi": 1, "p_down": ["1", "1"]}]
         assert seq["provenance"][0]["origin"] in ("aligned", "phase", "greedy")
         assert seq["relabel_in"] == [0, 1] and seq["relabel_out"] == [1, 0]
+
+    def test_billion_slot_aligned_pair_as_process(self, tmp_path):
+        """An aligned pair at D = 10^9 costs one step per level run, so
+        the whole process ends well inside its timeout."""
+        d = (4 * 10**8 - 1, 3 * 10**8, 3 * 10**8 + 1)
+        ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
+        write_json_atomic(tmp_path / "ctx.json", context_to_json(ctx))
+        write_json_atomic(tmp_path / "p.json", population_to_json(
+            (F(9, 10), F(1, 20), F(1, 20))))
+        write_json_atomic(tmp_path / "q.json", population_to_json(
+            (F(7, 10), F(3, 20), F(3, 20))))
+        src = os.path.dirname(os.path.dirname(thermo_ops.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "thermo_ops.cli", "synthesize",
+             "--p", tmp_path / "p.json", "--q", tmp_path / "q.json",
+             "--ctx", tmp_path / "ctx.json", "--out", tmp_path / "seq.json"],
+            env=env, capture_output=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        seq = json.loads((tmp_path / "seq.json").read_text())
+        assert len(seq["steps"]) == 2
 
     def test_unreachable_exits_one_with_elbow(self, workdir, capsys):
         d, _ = workdir

@@ -1,7 +1,9 @@
 import collections
 import hashlib
 import random
+import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -381,28 +383,73 @@ def slot_level_aligned(p, q, d, order):
     return transfers
 
 
+def aligned_corpus():
+    """Beta-aligned pairs p != q with n <= 5 (elementary images and thermal
+    mixtures): (ctx, p, q, beta-order)."""
+    rng = random.Random(404)
+    for trial in range(600):
+        ctx = rand_ctx(rng, nmax=5, dmax_total=60)
+        p = list(rand_pop(rng, ctx.n))
+        if trial % 2:
+            w = F(rng.randint(0, 64), 64)
+            q = [w * pi + (1 - w) * gi for pi, gi in zip(p, ctx.g)]
+        else:
+            q = list(rand_edp_image(rng, p, ctx, 1))
+        order = beta_order(p, ctx).perm
+        if beta_order(q, ctx).perm == order and p != q:
+            yield ctx, p, q, order
+
+
+def summed_aligned_runs(records):
+    """The ungrouped records with each maximal stretch of aligned transfers
+    on one level pair summed into its first record, whose ``lam`` is
+    dropped (the grouped record's is ``1 - p_down`` of its step)."""
+    out = []
+    for r in records:
+        if r.origin != "aligned":
+            out.append(r)
+        elif out and (out[-1].lo, out[-1].hi, out[-1].origin) == (
+                r.lo, r.hi, r.origin):
+            out[-1] = replace(out[-1], delta=out[-1].delta + r.delta)
+        else:
+            out.append(replace(r, lam=None))
+    return out
+
+
+def without_aligned_lam(records):
+    return [replace(r, lam=None) if r.origin == "aligned" else r
+            for r in records]
+
+
 class TestAlignedLoop:
     """The level-vector loop against the slot-level reference."""
 
     def test_matches_slot_level_loop(self):
-        rng = random.Random(404)
         compared = 0
-        for trial in range(600):
-            ctx = rand_ctx(rng, nmax=5, dmax_total=60)
-            p = list(rand_pop(rng, ctx.n))
-            if trial % 2:
-                w = F(rng.randint(0, 64), 64)
-                q = [w * pi + (1 - w) * gi for pi, gi in zip(p, ctx.g)]
-            else:
-                q = list(rand_edp_image(rng, p, ctx, 1))
-            order = beta_order(p, ctx).perm
-            if beta_order(q, ctx).perm != order or p == q:
-                continue
+        for ctx, p, q, order in aligned_corpus():
             compared += 1
             expected = slot_level_aligned(p, q, ctx.d, order)
             assert expected is not None
-            assert _synth_aligned(*_curves(p, q, ctx, None)[:2]) == expected
+            assert _synth_aligned(*_curves(p, q, ctx, None)[:2],
+                                  False) == expected
         assert compared >= 300
+
+    def test_run_mode_sums_slot_mode_stretches(self):
+        """Grouped, each transfer moves one level run: the slot mode's
+        maximal same-pair stretch, at most n - 1 of them."""
+        compared = 0
+        for ctx, p, q, _ in aligned_corpus():
+            seq = synthesize(p, q, ctx, group=True)
+            raw = synthesize(p, q, ctx, group=False)
+            assert {r.origin for r in raw.provenance} == {"aligned"}
+            assert len(seq.provenance) <= ctx.n - 1
+            assert without_aligned_lam(seq.provenance) == \
+                summed_aligned_runs(raw.provenance)
+            assert len(seq.steps) == len(seq.provenance)
+            assert [r.lam for r in seq.provenance] == \
+                [1 - s.p_down for s in seq.steps]
+            compared += len(raw.provenance) > len(seq.provenance)
+        assert compared >= 100
 
     def test_billion_slots_in_bounded_memory(self):
         D = 10**9
@@ -419,6 +466,28 @@ class TestAlignedLoop:
         assert peak < 2**20
         assert [r.origin for r in seq.provenance] == ["aligned", "aligned"]
         assert [(r.j_ex, r.j_df) for r in seq.provenance] == [(1, 2), (1, 3)]
+        assert verify_sequence(seq, p, q, ctx, tol=0).ok
+
+    def test_billion_slot_level_runs_in_bounded_time_and_memory(self):
+        """Grouped, every level holding 3*10^8 slots or more costs two
+        transfers, not one per slot."""
+        d = (4 * 10**8 - 1, 3 * 10**8, 3 * 10**8 + 1)
+        ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
+        assert ctx.D == 10**9
+        p = (F(9, 10), F(1, 20), F(1, 20))
+        q = (F(7, 10), F(3, 20), F(3, 20))
+        assert beta_order(p, ctx).perm == beta_order(q, ctx).perm
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            seq = synthesize(p, q, ctx, group=True)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1
+        assert peak < 2**20
+        assert len(seq.steps) == 2 and len(seq.provenance) == 2
         assert verify_sequence(seq, p, q, ctx, tol=0).ok
 
 
@@ -445,10 +514,12 @@ GREEDY_PAIRS = (
       F(39, 1406))),
 )
 
-# SHA-256 of the outputs of ``pinned_synthesis_corpus``, as written when
-# synthesis still ran on Fraction objects.
-SYNTHESIS_PIN = ("d0e69db1578240026745e77bd278028a"
-                 "28151ec41249220502c05fdd3fe1e60a")
+# SHA-256 of the outputs of ``pinned_synthesis_corpus``, as written once
+# grouped aligned provenance became one record per level run.  Every
+# grouped step, relabel and refusal, and every ungrouped sequence, is as
+# written when synthesis still ran on Fraction objects.
+SYNTHESIS_PIN = ("3f7ba1b0a088a97ceaf072dbb9a52e0e"
+                 "1c0caec48e1b0e447ffadaf586af0a26")
 
 
 def pinned_synthesis_corpus():
@@ -563,7 +634,8 @@ class TestIntegerGrouping:
                 continue
             seq = synthesize(p, q, ctx, group=True)
             assert seq.steps == grouped_by_oracle(raw.steps, ctx)
-            assert seq.provenance == raw.provenance
+            assert without_aligned_lam(seq.provenance) == \
+                summed_aligned_runs(raw.provenance)
             assert len(raw.steps) == len(raw.provenance)
             grouped_runs += len(raw.steps) - len(seq.steps)
         assert grouped_runs > 100
