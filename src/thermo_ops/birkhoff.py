@@ -14,7 +14,7 @@ by randomised elementary steps.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -165,14 +165,16 @@ def birkhoff_von_neumann(M: StochasticMatrix, tol: Number | None = None
 
 
 def pull_back(perm: Sequence[int], ctx: GibbsContext) -> ThermoPermutation:
-    """Block-count matrix of a slot permutation: P[i|j] = (slots of block j
-    sent into block i) / d_j.  Always Gibbs-preserving."""
+    """Block-count table of a slot permutation: the slots of block j sent
+    into block i, counted in ``counts[j][i]``."""
     ctx.require_rational()
     if sorted(perm) != list(range(ctx.D)):
         raise DomainError("perm must be a permutation of the D slots")
     blocks = _slot_blocks(ctx)
-    return ThermoPermutation.from_counts(
-        Counter((blocks[r], blocks[c]) for c, r in enumerate(perm)), ctx.d)
+    counts = [[0] * ctx.n for _ in range(ctx.n)]
+    for c, r in enumerate(perm):
+        counts[blocks[c]][blocks[r]] += 1
+    return ThermoPermutation(tuple(map(tuple, counts)), ctx.d)
 
 
 def decompose(T: StochasticMatrix, ctx: GibbsContext,
@@ -188,7 +190,8 @@ def decompose(T: StochasticMatrix, ctx: GibbsContext,
     d, n = ctx.d, ctx.n
     table = [[T.cols[j][i] * d[j] for j in range(n)] for i in range(n)]
     return ConvexDecomposition(tuple(
-        (w, ThermoPermutation.from_counts(X, d))
+        (w, ThermoPermutation(tuple(tuple(X.get((i, j), 0) for i in range(n))
+                                    for j in range(n)), d))
         for w, X in _split(table, d, tol)))
 
 

@@ -103,28 +103,29 @@ def cone_vertices(p, ctx: GibbsContext) -> tuple[tuple[Number, ...], ...]:
 
 
 def _tables(row_sums: Sequence[int], col_sums: Sequence[int]):
-    """Nonnegative integer matrices with the given margins (row-recursive)."""
+    """Nonnegative integer tables, tuples of rows, with the given margins
+    (row-recursive)."""
     n = len(col_sums)
 
     def fill_row(r, cols_left):
         if r == len(row_sums):
             if all(c == 0 for c in cols_left):
-                yield []
+                yield ()
             return
         target = row_sums[r]
 
         def fill_cell(c, left, row):
             if c == n - 1:
                 if left <= cols_left[c]:
-                    yield row + [left]
+                    yield row + (left,)
                 return
             for v in range(min(left, cols_left[c]) + 1):
-                yield from fill_cell(c + 1, left - v, row + [v])
+                yield from fill_cell(c + 1, left - v, row + (v,))
 
-        for row in fill_cell(0, target, []):
+        for row in fill_cell(0, target, ()):
             new_cols = [cl - v for cl, v in zip(cols_left, row)]
             for rest in fill_row(r + 1, new_cols):
-                yield [row] + rest
+                yield (row,) + rest
 
     yield from fill_row(0, list(col_sums))
 
@@ -132,13 +133,10 @@ def _tables(row_sums: Sequence[int], col_sums: Sequence[int]):
 def _exhaustive_images(p, ctx: GibbsContext):
     """Distinct pullback images of all D! slot permutations, enumerated as
     block-count tables with margins d (every table is realised by at least
-    one permutation)."""
-    images = set()
-    for table in _tables(ctx.d, ctx.d):
-        counts = {(i, j): v for i, row in enumerate(table)
-                  for j, v in enumerate(row)}
-        images.add(ThermoPermutation.from_counts(counts, ctx.d).apply(p))
-    return images
+    one permutation).  Both margins are d, so reading each row-major table
+    as a column-major one walks the same set."""
+    return {ThermoPermutation(table, ctx.d).apply(p)
+            for table in _tables(ctx.d, ctx.d)}
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -404,18 +404,33 @@ def thermo_transposition(ctx: GibbsContext, lo: int, hi: int) -> EdpStep:
 @dataclass(frozen=True)
 class ThermoPermutation:
     """Pullback through the embedding of a permutation acting on D slots,
-    fully described by its block-count table."""
+    fully described by its block-count table over the slot counts ``d``:
+    ``counts[j][i]`` slots of block j go into block i (column-major, like
+    ``StochasticMatrix.cols``).  Exactly the nonnegative integer tables
+    with row and column sums d come from slot permutations."""
 
-    pulled_back: StochasticMatrix
+    counts: tuple[tuple[int, ...], ...]
+    d: tuple[int, ...]
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[tuple[int, int], int],
-                    d: Sequence[int]) -> "ThermoPermutation":
-        """P[i|j] = counts[i, j] / d_j: slots of block j sent into block i."""
-        n = len(d)
-        return cls(StochasticMatrix(tuple(
-            tuple(Fraction(counts.get((i, j), 0), d[j]) for i in range(n))
-            for j in range(n))))
+    def __post_init__(self):
+        n = len(self.d)
+        if any(type(v) is not int or v <= 0 for v in self.d):
+            raise DomainError("slot counts d must be positive integers")
+        if len(self.counts) != n or any(len(c) != n for c in self.counts):
+            raise DomainError(f"block-count table must be {n} x {n}")
+        if any(type(v) is not int or v < 0 for c in self.counts for v in c):
+            raise DomainError("block counts must be nonnegative integers")
+        if (list(map(sum, self.counts)) != list(self.d)
+                or list(map(sum, zip(*self.counts))) != list(self.d)):
+            raise DomainError("every row and column of a block-count table "
+                              "must sum to d")
+
+    @property
+    def pulled_back(self) -> StochasticMatrix:
+        """P[i|j] = counts[j][i] / d_j."""
+        return StochasticMatrix(tuple(
+            tuple(Fraction(v, dj) for v in col)
+            for col, dj in zip(self.counts, self.d)))
 
     def apply(self, p) -> tuple[Number, ...]:
         return self.pulled_back.apply(p)
@@ -433,12 +448,12 @@ class ConvexDecomposition:
             raise DomainError("decomposition weights must be nonnegative")
         if abs(sum(weights) - 1) > auto_tol(None, weights):
             raise DomainError("decomposition weights must sum to one")
-        if len({perm.pulled_back.n for _, perm in self.terms}) > 1:
-            raise DomainError("decomposition terms must all have one size")
+        if len({perm.d for _, perm in self.terms}) > 1:
+            raise DomainError("decomposition terms must all share one d")
 
     @property
     def n(self) -> int:
-        return self.terms[0][1].pulled_back.n
+        return len(self.terms[0][1].d)
 
     def reconstruct(self) -> StochasticMatrix:
         n = self.n

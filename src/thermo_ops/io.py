@@ -14,10 +14,10 @@ import tempfile
 from fractions import Fraction
 from typing import Any
 
-from .core import (ConvexDecomposition, FormatError, GibbsContext, Number,
-                   Population, StochasticMatrix, ThermoPermutation,
-                   as_values, gibbs_context_from_weights, make_gibbs_context,
-                   validate_stochastic)
+from .core import (ConvexDecomposition, DomainError, FormatError,
+                   GibbsContext, Number, Population, StochasticMatrix,
+                   ThermoPermutation, as_values, gibbs_context_from_weights,
+                   make_gibbs_context)
 
 
 def encode_number(v: Number) -> Any:
@@ -93,6 +93,8 @@ def context_to_json(ctx: GibbsContext) -> dict:
 
 def context_from_json(obj: dict) -> GibbsContext:
     _object(obj, "context file")
+    if "g" not in obj and ("d" in obj or "D" in obj):
+        raise FormatError("d and D are read only beside the weights g")
     if "g" in obj:
         weights = [decode_number(v) for v in _array(obj["g"], "g")]
         if any(isinstance(w, float) for w in weights):
@@ -142,39 +144,33 @@ def matrix_from_json(obj: dict) -> StochasticMatrix:
 
 
 def decomposition_to_json(dec: ConvexDecomposition) -> dict:
-    return {"n": dec.n,
+    return {"d": list(dec.terms[0][1].d),
             "terms": [{"weight": encode_number(w),
-                       "cols": [[encode_number(v) for v in col]
-                                for col in tp.pulled_back.cols]}
+                       "counts": [list(col) for col in tp.counts]}
                       for w, tp in dec.terms]}
 
 
 def decomposition_from_json(obj: dict) -> ConvexDecomposition:
-    """Each term must be an ``n x n`` column-stochastic matrix (zero
-    tolerance for exact entries).  A term of an older file may also carry
-    its slot permutation ``lifted_perm``, which must be a permutation of
-    ``0..len-1``; whether it agrees with the term needs the context, which
-    the file does not hold, and it is otherwise ignored."""
+    """Each term's ``counts`` must be a block-count table over the file's
+    slot counts ``d`` (see ``ThermoPermutation``).  Files of earlier
+    versions held column-stochastic ``cols`` and no ``d``; they are
+    refused, as no term of theirs can be checked to be thermal."""
     _object(obj, "decomposition file")
-    n = _integer(_require(obj, "n"), "n")
+    if "d" not in obj:
+        raise FormatError("decomposition file has no 'd': it was written by "
+                          "an earlier version; run decompose again")
+    d = tuple(_array(obj["d"], "d"))
     terms = []
     for term in _array(_require(obj, "terms"), "terms"):
         _object(term, "each term")
         weight = decode_number(_require(term, "weight"))
-        if "lifted_perm" in term:
-            perm = [_integer(v, "each lifted_perm entry")
-                    for v in _array(term["lifted_perm"], "lifted_perm")]
-            if sorted(perm) != list(range(len(perm))):
-                raise FormatError("each lifted_perm must be a permutation "
-                                  "of 0..len-1")
-        matrix = StochasticMatrix(_square(_require(term, "cols"),
-                                          "term cols"))
-        if matrix.n != n:
-            raise FormatError(f"each term's cols must form an n x n array "
-                              f"with n = {n}")
-        if not validate_stochastic(matrix):
-            raise FormatError("each term's cols must be column-stochastic")
-        terms.append((weight, ThermoPermutation(matrix)))
+        counts = tuple(tuple(_array(col, "each column of counts"))
+                       for col in _array(_require(term, "counts"), "counts"))
+        try:
+            terms.append((weight, ThermoPermutation(counts, d)))
+        except DomainError as exc:
+            raise FormatError(
+                f"a term is not a thermo-permutation: {exc}") from None
     return ConvexDecomposition(tuple(terms))
 
 

@@ -11,6 +11,8 @@ from thermo_ops import (ConvexDecomposition, DomainError, EdpStep,
 
 F = Fraction
 
+pytest_plugins = ["pytester"]
+
 
 def rand_ctx(rng: random.Random, nmax: int = 5, dmax_total: int = 60,
              nmin: int = 2, distinct: bool = True) -> GibbsContext:

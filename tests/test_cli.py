@@ -14,6 +14,7 @@ from thermo_ops import (decompose, gibbs_context_from_weights, make_edp_step,
 from thermo_ops.cli import MAX_REGION_ROWS, build_parser, main
 from thermo_ops.cone import MAX_CONE_LEVELS, MAX_FACET_LEVELS
 from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS
+from thermo_ops.synthesis import MAX_SLOT_TRANSFERS
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
                            write_json_atomic)
@@ -83,16 +84,21 @@ class TestSynthesize:
         assert seq["provenance"][0]["origin"] in ("aligned", "phase", "greedy")
         assert seq["relabel_in"] == [0, 1] and seq["relabel_out"] == [1, 0]
 
+    @staticmethod
+    def billion_slot_pair(path):
+        """An aligned pair at D = 10^9 on which every level moves."""
+        d = (4 * 10**8 - 1, 3 * 10**8, 3 * 10**8 + 1)
+        ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
+        write_json_atomic(path / "ctx.json", context_to_json(ctx))
+        write_json_atomic(path / "p.json", population_to_json(
+            (F(9, 10), F(1, 20), F(1, 20))))
+        write_json_atomic(path / "q.json", population_to_json(
+            (F(7, 10), F(3, 20), F(3, 20))))
+
     def test_billion_slot_aligned_pair_as_process(self, tmp_path):
         """An aligned pair at D = 10^9 costs one step per level run, so
         the whole process ends well inside its timeout."""
-        d = (4 * 10**8 - 1, 3 * 10**8, 3 * 10**8 + 1)
-        ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
-        write_json_atomic(tmp_path / "ctx.json", context_to_json(ctx))
-        write_json_atomic(tmp_path / "p.json", population_to_json(
-            (F(9, 10), F(1, 20), F(1, 20))))
-        write_json_atomic(tmp_path / "q.json", population_to_json(
-            (F(7, 10), F(3, 20), F(3, 20))))
+        self.billion_slot_pair(tmp_path)
         src = os.path.dirname(os.path.dirname(thermo_ops.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -105,6 +111,18 @@ class TestSynthesize:
         assert done.returncode == 0, done.stderr
         seq = json.loads((tmp_path / "seq.json").read_text())
         assert len(seq["steps"]) == 2
+
+    def test_ungrouped_billion_slot_pair_refused(self, tmp_path, capsys):
+        """Ungrouped, each slot that moves costs one transfer, so the same
+        pair is refused before the first transfer."""
+        self.billion_slot_pair(tmp_path)
+        t0 = time.perf_counter()
+        assert run("synthesize", "--no-group", "--p", tmp_path / "p.json",
+                   "--q", tmp_path / "q.json",
+                   "--ctx", tmp_path / "ctx.json") == 1
+        assert time.perf_counter() - t0 < 1.0
+        line = assert_one_error(capsys, "DOMAIN")
+        assert f"above the cap of {MAX_SLOT_TRANSFERS}" in line
 
     def test_unreachable_exits_one_with_elbow(self, workdir, capsys):
         d, _ = workdir
@@ -136,19 +154,22 @@ class TestDecomposeSimulate:
         write_json_atomic(d / "t.json", matrix_to_json(t))
         assert run("decompose", "--t", d / "t.json", "--ctx", d / "ctx.json",
                    "--out", d / "dec.json") == 0
-        terms = json.loads((d / "dec.json").read_text())["terms"]
-        assert len(terms) == 2
-        assert all(set(term) == {"weight", "cols"} for term in terms)
+        dec = json.loads((d / "dec.json").read_text())
+        assert set(dec) == {"d", "terms"}
+        assert dec["d"] == [2, 1]
+        assert len(dec["terms"]) == 2
+        assert all(set(term) == {"weight", "counts"} for term in dec["terms"])
 
-    def test_old_format_file_gives_the_same_bytes(self, capsys):
-        """A decomposition file from when each term also carried its slot
-        permutation ``lifted_perm`` still reads, and ``simulate`` prints
-        the bytes it printed then."""
+    def test_old_format_file_is_refused(self, capsys):
+        """A file of an earlier version holds each term's column-stochastic
+        ``cols`` (and its slot permutation ``lifted_perm``) but no slot
+        counts, so no term can be checked to be thermal: it is refused,
+        naming the remedy."""
         assert run("simulate", "--dec", DATA / "old_format_dec.json",
                    "--p", DATA / "old_format_p.json",
-                   "--samples", 100000, "--seed", 8) == 0
-        expected = (DATA / "old_format_simulate.out").read_text()
-        assert capsys.readouterr().out == expected
+                   "--samples", 100000, "--seed", 8) == 2
+        line = assert_one_error(capsys, "FORMAT")
+        assert "earlier version" in line and "decompose again" in line
 
     def test_simulate_single_term_sigma_zero(self, workdir, capsys):
         d, ctx = workdir
@@ -386,18 +407,19 @@ class TestErrorPaths:
         assert "code=DOMAIN" in capsys.readouterr().err
 
 
-GOOD_TERM = {"weight": ["1", "1"], "lifted_perm": [0, 1, 2],
-             "cols": [["1", "0"], ["0", "1"]]}
+GOOD_TERM = {"weight": ["1", "1"], "counts": [[1, 0], [0, 1]]}
 WRONG_SHAPES = [
     ("p", {"x": 5}),
     ("t", {"n": 2, "cols": 5}),
-    ("dec", {"terms": 5}),
-    ("dec", {"terms": [5]}),
-    ("dec", {"terms": [{**GOOD_TERM, "lifted_perm": 5}]}),
-    ("dec", {"terms": [{**GOOD_TERM, "cols": 7}]}),
+    ("dec", {"d": [1, 1], "terms": 5}),
+    ("dec", {"d": [1, 1], "terms": [5]}),
+    ("dec", {"d": [1, 1], "terms": [{**GOOD_TERM, "counts": 5}]}),
+    ("dec", {"d": [1, 1], "terms": [{**GOOD_TERM, "counts": [7, [0, 1]]}]}),
     ("ctx", {"energies": "ab"}),
     ("ctx", {"energies": [0.0, 1.0], "max_denominator": "x"}),
     ("ctx", {"g": [["2", "3"], ["1", "3"]], "d": 5, "D": 3}),
+    ("dec", {"d": 5, "terms": [GOOD_TERM]}),
+    ("ctx", {"energies": [0.0, 1.0], "d": [5, 1], "D": 6}),
 ]
 
 
@@ -427,50 +449,63 @@ class TestWrongShapeFiles:
         assert lines[0].startswith("THERMO-OPS-ERROR code=FORMAT")
 
 
-DEC_TERM = {"weight": ["1", "1"], "lifted_perm": [0, 1, 2],
-            "cols": [[1, 0], [0, 1]]}
+#: slot counts of every file of ``TestDecompositionContent`` but one
+DEC_D = [1, 1]
+DEC_TERM = {"weight": ["1", "1"], "counts": [[1, 0], [0, 1]]}
 BAD_TERMS = [
-    {**DEC_TERM, "cols": [[3, -2], [0, 1]]},
-    {**DEC_TERM, "cols": [[1, 1], [0, 1]]},
-    {**DEC_TERM, "cols": [[["999999999999", "1000000000000"], 0], [0, 1]]},
-    {**DEC_TERM, "cols": [[0.5, 0.6], [0.0, 1.0]]},
-    {**DEC_TERM, "lifted_perm": [0, 0, 2]},
-    {**DEC_TERM, "lifted_perm": [1, 2, 3]},
+    {**DEC_TERM, "counts": [[2, -1], [-1, 2]]},
+    {**DEC_TERM, "counts": [[1.0, 0], [0, 1]]},
+    {**DEC_TERM, "counts": [[["1", "1"], 0], [0, 1]]},
+    {**DEC_TERM, "counts": [[True, False], [False, True]]},
+    {**DEC_TERM, "counts": [[1, 0], [1, 0]]},
+    {**DEC_TERM, "counts": [[1, 1], [0, 0]]},
+    {**DEC_TERM, "counts": [[1, 0], [1]]},
+    {**DEC_TERM, "counts": [[1, 0], [0, 1], [0, 0]]},
+    # sends both levels to level 1, a map that fixes no Gibbs state
+    {**DEC_TERM, "counts": [[0, 1], [0, 1]]},
 ]
 
 
 class TestDecompositionContent:
-    """A term that is not column-stochastic (zero tolerance for exact
-    entries) or whose lifted_perm is not a permutation is a format error."""
+    """A term that is not a block-count table over the file's slot counts
+    ``d`` (nonnegative integers, rows and columns summing to ``d``) is a
+    format error."""
+
+    def simulate(self, d, dec):
+        write_json_atomic(d / "dec.json", dec)
+        return run("simulate", "--dec", d / "dec.json", "--p", d / "p.json",
+                   "--samples", 10, "--seed", 1)
 
     @pytest.mark.parametrize("term", BAD_TERMS)
     def test_bad_term_exits_two(self, term, workdir, capsys):
         d, _ = workdir
-        write_json_atomic(d / "dec.json", {"n": 2, "terms": [term]})
-        assert run("simulate", "--dec", d / "dec.json", "--p", d / "p.json",
-                   "--samples", 10, "--seed", 1) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("THERMO-OPS-ERROR code=FORMAT")
+        assert self.simulate(d, {"d": DEC_D, "terms": [term]}) == 2
+        assert_one_error(capsys, "FORMAT")
 
-    @pytest.mark.parametrize("cols", [[[1, 0], [0, 1]],
-                                      [[0.5, 0.5 + 1e-12], [0.0, 1.0]]])
-    def test_stochastic_term_accepted(self, cols, workdir):
+    @pytest.mark.parametrize("slots,counts", [
+        ([1, 0], [[1, 0], [0, 0]]), ([2, -1], [[2, -1], [-1, 0]]),
+        ([1, 1.0], [[1, 0], [0, 1]]), ([1, True], [[1, 0], [0, 1]]),
+        ([1, "1"], [[1, 0], [0, 1]])])
+    def test_slot_counts_must_be_positive_integers(self, slots, counts,
+                                                   workdir, capsys):
         d, _ = workdir
-        term = {**DEC_TERM, "cols": cols}
-        write_json_atomic(d / "dec.json", {"n": 2, "terms": [term]})
-        assert run("simulate", "--dec", d / "dec.json", "--p", d / "p.json",
-                   "--samples", 10, "--seed", 1) == 0
+        term = {**DEC_TERM, "counts": counts}
+        assert self.simulate(d, {"d": slots, "terms": [term]}) == 2
+        assert_one_error(capsys, "FORMAT")
 
+    @pytest.mark.parametrize("counts", [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    def test_thermo_permutation_term_accepted(self, counts, workdir):
+        d, _ = workdir
+        term = {**DEC_TERM, "counts": counts}
+        assert self.simulate(d, {"d": DEC_D, "terms": [term]}) == 0
 
     @pytest.mark.parametrize("n", [7, 1, "2", None])
     def test_n_must_match_every_term(self, n, workdir, capsys):
+        """``n`` is the length of ``d``; a table of another size, or a
+        ``d`` that is not an array, is refused."""
         d, _ = workdir
-        write_json_atomic(d / "dec.json", {"n": n, "terms": [DEC_TERM]})
-        assert run("simulate", "--dec", d / "dec.json", "--p", d / "p.json",
-                   "--samples", 10, "--seed", 1) == 2
+        slots = [1] * n if isinstance(n, int) else n
+        assert self.simulate(d, {"d": slots, "terms": [DEC_TERM]}) == 2
         assert_one_error(capsys, "FORMAT")
 
 

@@ -30,9 +30,10 @@ BASE = {
     "t": matrix_to_json(_T),
     "dec": decomposition_to_json(decompose(_T, _CTX)),
 }
-# an older decomposition file, whose terms also carry a slot permutation
-BASE["old"] = {**BASE["dec"], "terms": [{**term, "lifted_perm": [2, 1, 0]}
-                                        for term in BASE["dec"]["terms"]]}
+# a decomposition file of an earlier version: column-stochastic terms and
+# no slot counts, refused whatever its fields hold
+BASE["old"] = {"n": 2, "terms": [
+    {"weight": ["1", "1"], "cols": matrix_to_json(_T)["cols"]}]}
 
 # (file, path to the field); the command run for each file is in _argv
 FIELDS = [("p", ("x",)), ("p", ("x", 0)),
@@ -40,10 +41,12 @@ FIELDS = [("p", ("x",)), ("p", ("x", 0)),
           ("fit", ("energies",)), ("fit", ("energies", 0)),
           ("fit", ("max_denominator",)),
           ("t", ("n",)), ("t", ("cols",)), ("t", ("cols", 0)),
+          ("dec", ("d",)), ("dec", ("d", 0)),
           ("dec", ("terms",)), ("dec", ("terms", 0)),
           ("dec", ("terms", 0, "weight")),
-          ("old", ("terms", 0, "lifted_perm")),
-          ("dec", ("terms", 0, "cols")), ("dec", ("terms", 0, "cols", 0))]
+          ("old", ("terms", 0, "cols")),
+          ("dec", ("terms", 0, "counts")), ("dec", ("terms", 0, "counts", 0)),
+          ("dec", ("terms", 0, "counts", 0, 0))]
 
 MISSING = object()
 

@@ -163,8 +163,8 @@ class TestRawTupleMisuse:
         lambda: hull_facets([(F(k, 7), 1 - F(k, 7), 0) for k in range(7)]),
         lambda: StochasticMatrix(((1,), (0, 1))),
         lambda: ConvexDecomposition((
-            (F(1, 2), ThermoPermutation(StochasticMatrix.identity(2))),
-            (F(1, 2), ThermoPermutation(StochasticMatrix.identity(3))))),
+            (F(1, 2), ThermoPermutation(((1, 0), (0, 1)), (1, 1))),
+            (F(1, 2), ThermoPermutation(((2, 0), (0, 1)), (2, 1))))),
     ], ids=["simplex-zero-sum", "simplex-negative", "hull-dimensions",
             "facets-no-vertex", "facets-dimensions", "facets-too-many",
             "matrix-ragged", "decomposition-mixed-sizes"])
@@ -410,10 +410,34 @@ class TestTolerancePolicy:
         assert is_detailed_balanced(skew, two_thirds_ctx)
 
 
+class TestThermoPermutation:
+    """The constructor owns the thermo-permutation rule: an n x n table of
+    nonnegative ints whose row and column sums are both the positive
+    slot counts d."""
+
+    @pytest.mark.parametrize("counts,d,match", [
+        (((2, 0), (0, 0)), (2, 0), "positive integers"),
+        (((1, 1), (1, 0)), (2, 1.0), "positive integers"),
+        (((1, 1), (1, 0)), (2, True), "positive integers"),
+        (((1, 1), (1,)), (2, 1), "2 x 2"),
+        (((1, 1), (1, 0), (0, 0)), (2, 1), "2 x 2"),
+        (((2, -1), (-1, 2)), (1, 1), "nonnegative integers"),
+        (((1.0, 1), (1, 0)), (2, 1), "nonnegative integers"),
+        (((True, False), (False, True)), (1, 1), "nonnegative integers"),
+        (((0, 1), (0, 1)), (1, 1), "sum to d"),
+        (((1, 1), (0, 1)), (1, 2), "sum to d"),
+    ], ids=["d-zero", "d-float", "d-bool", "ragged", "not-square",
+            "negative", "float-count", "bool-count", "rows-off-d",
+            "columns-off-d"])
+    def test_refused(self, counts, d, match):
+        with pytest.raises(DomainError, match=match):
+            ThermoPermutation(counts, d)
+
+
 class TestConvexDecomposition:
     @staticmethod
     def terms(weights):
-        ident = ThermoPermutation(StochasticMatrix.identity(2))
+        ident = ThermoPermutation(((1, 0), (0, 1)), (1, 1))
         return tuple((w, ident) for w in weights)
 
     def test_exact_weights_must_sum_to_exactly_one(self):

@@ -54,6 +54,14 @@ class TestContextFiles:
         with pytest.raises(FormatError):
             context_from_json({"g": [0.5, 0.5]})
 
+    @pytest.mark.parametrize("split", [{"d": [5, 1], "D": 6}, {"d": [5, 1]},
+                                       {"D": 6}])
+    def test_split_without_weights_rejected(self, split):
+        """A slot split is read only beside g; without g the energies
+        would be fitted as if it were not there."""
+        with pytest.raises(FormatError, match="beside the weights g"):
+            context_from_json({"energies": [0.0, 1.0], **split})
+
 
 class TestPopulationAndMatrix:
     def test_population_round_trip(self):
@@ -73,6 +81,7 @@ class TestPopulationAndMatrix:
         ctx = gibbs_context_from_weights([F(2, 3), F(1, 3)])
         dec = decompose(StochasticMatrix.identity(2), ctx)
         again = decomposition_from_json(decomposition_to_json(dec))
+        assert again == dec
         assert again.reconstruct().cols == dec.reconstruct().cols
 
 

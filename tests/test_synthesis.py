@@ -14,8 +14,9 @@ from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         thermo_majorizes, thermo_transposition,
                         validate_stochastic, verify_sequence)
 from thermo_ops.majorization import ExactLorenz, _curves
-from thermo_ops.synthesis import (_greedy_balanced, _replay, _Run,
-                                  _run_phases, _synth_aligned, _Unreachable)
+from thermo_ops.synthesis import (MAX_SLOT_TRANSFERS, _greedy_balanced,
+                                  _replay, _Run, _run_phases, _synth_aligned,
+                                  _Unreachable)
 
 from conftest import rand_ctx, rand_edp_image, rand_plt_image, rand_pop
 
@@ -489,6 +490,25 @@ class TestAlignedLoop:
         assert peak < 2**20
         assert len(seq.steps) == 2 and len(seq.provenance) == 2
         assert verify_sequence(seq, p, q, ctx, tol=0).ok
+
+    @pytest.mark.parametrize("k", [MAX_SLOT_TRANSFERS // 4,
+                                   MAX_SLOT_TRANSFERS // 4 + 1])
+    def test_ungrouped_slot_cap(self, k):
+        """Ungrouped, each transfer settles one slot of a level that moves,
+        so more than ``MAX_SLOT_TRANSFERS`` such slots are refused before
+        the loop, as a DomainError no other strategy can answer instead."""
+        d = (2 * k - 1, k, k + 1)
+        ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
+        p = (F(9, 10), F(1, 20), F(1, 20))
+        q = (F(7, 10), F(3, 20), F(3, 20))
+        if ctx.D <= MAX_SLOT_TRANSFERS:
+            seq = synthesize(p, q, ctx, group=False)
+            assert len(seq.steps) == ctx.D - 1
+        else:
+            with pytest.raises(DomainError, match="cap") as refused:
+                synthesize(p, q, ctx, group=False)
+            assert not isinstance(refused.value, SynthesisError)
+            assert len(synthesize(p, q, ctx, group=True).steps) == 2
 
 
 # The three exact-small targets (perfbench corpus seeds 14, 24 and 30) that
