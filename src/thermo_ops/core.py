@@ -448,7 +448,7 @@ class ConvexDecomposition:
             raise DomainError("decomposition weights must be nonnegative")
         if abs(sum(weights) - 1) > auto_tol(None, weights):
             raise DomainError("decomposition weights must sum to one")
-        if len({perm.d for _, perm in self.terms}) > 1:
+        if len({tuple(perm.d) for _, perm in self.terms}) > 1:
             raise DomainError("decomposition terms must all share one d")
 
     @property

@@ -450,6 +450,11 @@ class TestConvexDecomposition:
         with pytest.raises(DomainError, match="sum to one"):
             ConvexDecomposition(self.terms([0.25, 0.75 - 1e-6]))
 
+    def test_terms_built_from_lists_share_their_d(self):
+        tp = ThermoPermutation([[1, 1], [1, 0]], [2, 1])
+        dec = ConvexDecomposition(((F(1, 2), tp), (F(1, 2), tp)))
+        assert dec.reconstruct().cols == tp.pulled_back.cols
+
     @pytest.mark.parametrize("bad", [-0.5, float("nan")])
     def test_negative_or_nan_weight_rejected(self, bad):
         with pytest.raises(DomainError, match="nonnegative"):
