@@ -21,6 +21,9 @@ MAX_WEIGHT_DENOMINATOR = 10**9
 #: largest total the fit in ``make_gibbs_context`` scans up to; each total
 #: costs a few microseconds, so 10^6 of them take seconds
 MAX_FIT_TOTAL = 10**6
+#: most levels a context may have: majorisation works over lcm(d), which
+#: in float mode grows by about 44 bits a level (1000 levels: 0.33 s)
+MAX_LEVELS = 1000
 #: comparison tolerance of float inputs; exact inputs compare at zero
 FLOAT_TOL = 1e-9
 
@@ -72,6 +75,11 @@ class GibbsContext:
         return self.energies[i] == self.energies[j]
 
 
+def _check_level_count(n: int) -> None:
+    if n > MAX_LEVELS:
+        raise DomainError(f"{n} levels are above the cap of {MAX_LEVELS}")
+
+
 def _float_weights(energies: Sequence[float]) -> list[float]:
     try:
         boltzmann = [math.exp(-e) for e in energies]
@@ -95,6 +103,7 @@ def make_gibbs_context(energies: Sequence[float],
     DomainError before the scan starts; ``gibbs_context_from_weights`` takes
     exact weights up to ``MAX_WEIGHT_DENOMINATOR`` instead.  Passing
     ``max_denominator=None`` skips the rational form entirely (float mode).
+    More than ``MAX_LEVELS`` energies are a DomainError.
     """
     try:
         energies = tuple(float(e) for e in energies)
@@ -102,6 +111,7 @@ def make_gibbs_context(energies: Sequence[float],
         raise DomainError("energies must be finite") from None
     if not energies:
         raise DomainError("at least one energy level is required")
+    _check_level_count(len(energies))
     if any(not math.isfinite(e) for e in energies):
         raise DomainError("energies must be finite")
     gf = _float_weights(energies)
@@ -133,10 +143,12 @@ def make_gibbs_context(energies: Sequence[float],
 
 
 def gibbs_context_from_weights(weights: Sequence[Number]) -> GibbsContext:
-    """Exact-mode context from rational weights summing to one."""
+    """Exact-mode context from rational weights summing to one; more than
+    ``MAX_LEVELS`` of them are a DomainError."""
     w = [Fraction(v) for v in weights]
     if not w:
         raise DomainError("at least one weight is required")
+    _check_level_count(len(w))
     if any(v <= 0 for v in w):
         raise DomainError("weights must be positive")
     if sum(w) != 1:

@@ -7,11 +7,9 @@ maps p to q exactly.  The solver is layered:
 * when p and q share a beta-order, the classical transfer loop of the
   embedding runs on the level vector: excess levels drain their slots from
   the tail, deficit levels fill theirs from the head, so each slot follows
-  from its level's sum.  Grouped, one transfer moves a whole level run,
-  the last excess level to the first later deficit level until one of
-  them is settled, and the run ends within n - 1 transfers; ungrouped,
-  each transfer settles one slot and the run ends within D - 1, so more
-  than ``MAX_SLOT_TRANSFERS`` slots on levels that move are refused;
+  from its level's sum.  One transfer moves a whole level run, the last
+  excess level to the first later deficit level until one of them is
+  settled, and the run ends within n - 1 transfers;
 * otherwise a portfolio of exact greedy schedules is tried, each move capped
   so that every intermediate state still thermo-majorizes the target.
 
@@ -27,13 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_levels,
-                   auto_tol, coerce_exact, is_detailed_balanced,
-                   make_edp_step, validate_stochastic)
+                   auto_tol, coerce_exact, make_edp_step)
 from .majorization import ExactLorenz, _curves, _witness, lorenz_violation
 
-#: most slots an ungrouped aligned run may move, one transfer each; 10^5
-#: of them took 3.8 s and 459 MB as a ``synthesize --no-group`` process
-MAX_SLOT_TRANSFERS = 10**4
+#: most levels ``synthesize`` takes; the phase and greedy searches grow
+#: steeply with n (a 12-step elementary image took up to 0.5 s at 32
+#: levels and 4.4 s at 40)
+MAX_SYNTHESIS_LEVELS = 32
 
 
 class SynthesisError(DomainError):
@@ -56,9 +54,9 @@ class StepRecord:
     ``j_ex``/``j_df`` are 1-based slot positions in the beta-sorted embedding
     at the time of the transfer (donor block tail, receiver block head),
     ``delta`` the level mass moved and ``lam`` the identity weight of the
-    step's mixture form ``lam * I + (1 - lam) * (extreme step)``.  A
-    grouped aligned transfer moves a whole level run: its slots are the
-    run's first, and ``lam`` is ``1 - p_down`` of the level step.
+    transfer's step in its mixture form ``lam * I + (1 - lam) * (extreme
+    step)``, that is ``1 - p_down``.  An aligned transfer moves a whole
+    level run, and its slots are the run's first.
     """
 
     lo: int
@@ -123,40 +121,23 @@ class _Unreachable(Exception):
     pass
 
 
-def _synth_aligned(source, target, group):
+def _synth_aligned(source, target):
     """Classical transfer loop on the level vector for beta-aligned pairs
-    (the curves of p and q over one scale); see module docstring.  With
-    ``group`` each transfer moves a level run, otherwise one slot.
-
-    Over ``scale * lcm(d)`` every per-slot excess (p_i - q_i)/d_i and every
-    slot value is an integer, so the whole run stays on that one scale."""
-    order, d, lam = source.order, source.d, source.lam
+    (the curves of p and q over one scale); see module docstring.  Each
+    transfer moves one level run, ``min(x_a - q_a, q_b - x_b)``, and
+    settles level a or level b."""
+    order, d = source.order, source.d
     if target.order != order:
         raise _Unreachable("pair is not beta-aligned")
-    if not group:
-        # each ungrouped transfer settles a slot of a level that moves
-        moving = sum(di for di, xi, qi in zip(d, source.nums, target.nums)
-                     if xi != qi)
-        if moving > MAX_SLOT_TRANSFERS:
-            raise DomainError(
-                f"ungrouped synthesis would move {moving} slots one at a "
-                f"time, above the cap of {MAX_SLOT_TRANSFERS}; synthesize "
-                "grouped")
-    unit = source.scale * lam
-    x = [v * lam for v in source.nums]
-    q = [v * lam for v in target.nums]
-    e = [(xi - qi) // di for xi, qi, di in zip(x, q, d)]
-    offset, start = {}, 0
-    for i in order:
-        offset[i], start = start, start + d[i]
+    x, q = list(source.nums), list(target.nums)
+    excess = [xi - qi for xi, qi in zip(x, q)]
+    offset = dict(zip(order, source.xs))
 
-    def active(i):
-        """(1-based slot, value, gap to target) of the slot level i moves
-        next, given that c of its d[i] slots are still off target."""
-        c = -((q[i] - x[i]) // e[i])
-        gap = x[i] - q[i] - (c - 1) * e[i]
-        slot = offset[i] + (c if e[i] > 0 else d[i] - c + 1)
-        return slot, q[i] // d[i] + gap, gap
+    def slot(i):
+        """1-based slot level i moves next, given that c of its d[i] slots,
+        each with excess[i]/d[i] to move, are still off target."""
+        c = -((d[i] * (q[i] - x[i])) // excess[i])
+        return offset[i] + (c if excess[i] > 0 else d[i] - c + 1)
 
     transfers = []
     while x != q:
@@ -165,18 +146,13 @@ def _synth_aligned(source, target, group):
         b = next((i for i in later if x[i] < q[i]), None)
         if b is None:
             raise _Unreachable("no deficit slot after the last excess slot")
-        (j_ex, u_ex, gap_ex), (j_df, u_df, gap_df) = active(a), active(b)
-        if group:
-            # ``_replay`` derives lam from the level step it builds
-            delta, lam = min(x[a] - q[a], q[b] - x[b]), None
-        else:
-            delta = min(gap_ex, -gap_df)
-            spread = u_ex - u_df
-            lam = Fraction(spread - delta, spread)
+        if d[a] == d[b]:
+            raise _Unreachable(f"levels {a} and {b} are degenerate")
+        delta = min(x[a] - q[a], q[b] - x[b])
+        transfers.append((a, b, Fraction(delta, source.scale), slot(a),
+                          slot(b), "aligned"))
         x[a] -= delta
         x[b] += delta
-        transfers.append((a, b, Fraction(delta, unit), j_ex, j_df, lam,
-                          "aligned"))
     return transfers
 
 
@@ -298,7 +274,7 @@ class _Run:
         self.x[a] -= delta
         self.x[b] += delta
         self.transfers.append((a, b, Fraction(delta, self.scale), j_ex,
-                               j_df, None, origin))
+                               j_df, origin))
         if k != 1:
             common = math.gcd(self.scale, *self.x, *self.q)
             if common != 1:
@@ -430,11 +406,16 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
     ``SynthesisError`` carrying the violated elbow when q is not majorized,
     and a descriptive ``SynthesisError`` when the target lies in the known
     gap of the sequential construction (majorized yet unreachable by
-    two-level detailed-balanced steps alone).  Without ``group``, an
-    aligned pair with more than ``MAX_SLOT_TRANSFERS`` slots on levels that
-    move is a DomainError before any transfer is made.
+    two-level detailed-balanced steps alone).  With ``group``, a run of
+    consecutive phase or greedy transfers on one level pair becomes one
+    step; aligned level runs never share a pair, so they are one step each
+    either way.  More than ``MAX_SYNTHESIS_LEVELS`` levels are a
+    DomainError before any work.
     """
     ctx.require_rational()
+    if ctx.n > MAX_SYNTHESIS_LEVELS:
+        raise DomainError(f"synthesis of {ctx.n} levels is above the cap "
+                          f"of {MAX_SYNTHESIS_LEVELS}")
     pv = coerce_exact(as_levels(p, ctx), "p")
     qv = coerce_exact(as_levels(q, ctx), "q")
     source, target, _ = _curves(pv, qv, ctx, None)
@@ -455,8 +436,7 @@ def synthesize(p, q, ctx: GibbsContext, group: bool = True) -> EdpSequence:
         return _Run(source, target, q_at)
 
     tau = relabel_out
-    strategies = [("aligned", lambda: _synth_aligned(source, target,
-                                                     group))]
+    strategies = [("aligned", lambda: _synth_aligned(source, target))]
     for asc, way in ((True, "ascending"), (False, "descending")):
         strategies.append((f"phase-{way}", lambda a=asc: _run_phases(
             run(), tau[:-1], a)))
@@ -493,26 +473,25 @@ def _replay(transfers, P, Q, scale, ctx: GibbsContext, group: bool):
     """The transfers as validated steps and provenance records, replayed
     on integers over one scale that holds every transfer's mass.
 
-    Each step's ``p_down`` is the pair ``num/den`` of its mass over the
-    feasibility cap.  With ``group``, a run of steps on one level pair is
-    composed on those pairs, ``p + p' - p p' (d_lo + d_hi)/d_lo`` (the
-    matrix product, as in ``compose_edps_same_pair``), and one step is built
-    per run."""
+    Each transfer's ``p_down`` is the pair ``num/den`` of its mass over the
+    feasibility cap, and its record's ``lam`` is ``1 - p_down``.  With
+    ``group``, a run of transfers on one level pair is composed on those
+    pairs, ``p + p' - p p' (d_lo + d_hi)/d_lo`` (the matrix product, as in
+    ``compose_edps_same_pair``), and one step is built per run."""
     d = ctx.d
     unit = math.lcm(scale, *(t[2].denominator for t in transfers))
     x = [v * (unit // scale) for v in P]
     records: list[StepRecord] = []
     runs = []  # (lo, hi, num, den) of each step, a same-pair run composed
-    for a, b, delta, j_ex, j_df, lam, origin in transfers:
+    for a, b, delta, j_ex, j_df, origin in transfers:
         lo, hi = (a, b) if d[a] > d[b] else (b, a)
         mass = delta.numerator * (unit // delta.denominator)
         # mass / _Run.feas_cap, with the cap over ``unit``
         num, den = mass * d[lo], x[a] * d[b] - x[b] * d[a]
         if den <= 0 or not 0 <= num <= den:
             raise DomainError("p_down must lie in [0, 1]")
-        if lam is None:
-            lam = Fraction(den - num, den)
-        records.append(StepRecord(lo, hi, delta, j_ex, j_df, lam, origin))
+        records.append(StepRecord(lo, hi, delta, j_ex, j_df,
+                                  Fraction(den - num, den), origin))
         x[a] -= mass
         x[b] += mass
         if group and runs and runs[-1][:2] == (lo, hi):
@@ -541,24 +520,21 @@ class VerifyReport:
 
 def verify_sequence(seq: EdpSequence, p, q, ctx: GibbsContext,
                     tol: Number | None = None) -> VerifyReport:
-    """Replay the steps and check each one's level pair (``as_matrix``
-    runs ``check_level_pair``), stochasticity, detailed balance and the
-    terminal state; a failing step is a report, a malformed p, q or
-    ``tol`` a DomainError."""
+    """Replay the steps and check each one's level pair (``up_factor``
+    runs ``check_level_pair``) and the terminal state; a failing step is a
+    report, a malformed p, q or ``tol`` a DomainError.  A step's ``p_down``
+    lies in [0, 1] (``EdpStep`` refuses any other), so a step on a good
+    pair is stochastic and detailed balanced by construction."""
     pv = as_levels(p, ctx)
     qv = as_levels(q, ctx)
     t = auto_tol(tol, pv, qv, ctx.g)
     x = pv
     for idx, step in enumerate(seq.steps):
         try:
-            m = step.as_matrix(ctx)
+            step.up_factor(ctx)
         except DomainError as exc:
             return VerifyReport(
                 False, f"level pair ({step.lo}, {step.hi}): {exc}", idx, x)
-        if not validate_stochastic(m, t):
-            return VerifyReport(False, "step is not stochastic", idx, x)
-        if not is_detailed_balanced(m, ctx, t):
-            return VerifyReport(False, "step violates detailed balance", idx, x)
         x = apply_edp(step, x, ctx)
     drift = max((abs(a - b) for a, b in zip(x, qv)), default=0)
     if drift > t:

@@ -14,7 +14,8 @@ from thermo_ops import (decompose, gibbs_context_from_weights, make_edp_step,
 from thermo_ops.cli import MAX_REGION_ROWS, build_parser, main
 from thermo_ops.cone import MAX_CONE_LEVELS, MAX_FACET_LEVELS
 from thermo_ops.jaynes_cummings import MAX_SOLVE_TERMS
-from thermo_ops.synthesis import MAX_SLOT_TRANSFERS
+from thermo_ops.core import MAX_LEVELS
+from thermo_ops.synthesis import MAX_SYNTHESIS_LEVELS
 from thermo_ops.io import (context_to_json, decomposition_to_json,
                            matrix_to_json, population_to_json,
                            write_json_atomic)
@@ -66,6 +67,26 @@ class TestCheckMajorization:
         payload = json.loads((d / "verdict.json").read_text())
         assert payload["routes"] == {"curve": True}
 
+    @pytest.mark.parametrize("ctx", [
+        {"energies": [0.0] * (MAX_LEVELS + 1)},
+        {"energies": [0.0] * (MAX_LEVELS + 1), "max_denominator": None},
+        {"g": [["1", str(MAX_LEVELS + 1)]] * (MAX_LEVELS + 1)},
+    ], ids=["fitted", "float", "exact"])
+    def test_context_over_level_cap(self, tmp_path, capsys, ctx):
+        """A context file with one level above the cap is refused when it
+        is read, before any majorisation work."""
+        n = MAX_LEVELS + 1
+        (tmp_path / "ctx.json").write_text(json.dumps(ctx))
+        write_json_atomic(tmp_path / "p.json",
+                          population_to_json((F(1, n),) * n))
+        t0 = time.perf_counter()
+        assert run("check-majorization", "--p", tmp_path / "p.json",
+                   "--q", tmp_path / "p.json",
+                   "--ctx", tmp_path / "ctx.json", "--mode", "float") == 1
+        assert time.perf_counter() - t0 < 1.0
+        line = assert_one_error(capsys, "DOMAIN")
+        assert f"cap of {MAX_LEVELS}" in line
+
     def test_witness_on_failure(self, workdir, capsys):
         d, _ = workdir
         assert run("check-majorization", "--p", d / "q.json",
@@ -112,17 +133,30 @@ class TestSynthesize:
         seq = json.loads((tmp_path / "seq.json").read_text())
         assert len(seq["steps"]) == 2
 
-    def test_ungrouped_billion_slot_pair_refused(self, tmp_path, capsys):
-        """Ungrouped, each slot that moves costs one transfer, so the same
-        pair is refused before the first transfer."""
+    def test_ungrouped_billion_slot_pair_answered(self, tmp_path):
+        """Ungrouped, the same pair costs the same two level runs."""
         self.billion_slot_pair(tmp_path)
         t0 = time.perf_counter()
         assert run("synthesize", "--no-group", "--p", tmp_path / "p.json",
-                   "--q", tmp_path / "q.json",
-                   "--ctx", tmp_path / "ctx.json") == 1
+                   "--q", tmp_path / "q.json", "--ctx", tmp_path / "ctx.json",
+                   "--out", tmp_path / "seq.json") == 0
         assert time.perf_counter() - t0 < 1.0
+        assert (tmp_path / "seq.json").stat().st_size < 2**20
+        seq = json.loads((tmp_path / "seq.json").read_text())
+        assert len(seq["steps"]) == 2 and len(seq["provenance"]) == 2
+
+    def test_levels_over_cap_is_domain_error(self, tmp_path, capsys):
+        """One level above the synthesis cap is refused, even for p = q."""
+        n = MAX_SYNTHESIS_LEVELS + 1
+        D = n * (n + 1) // 2
+        ctx = gibbs_context_from_weights([F(i, D) for i in range(1, n + 1)])
+        write_json_atomic(tmp_path / "ctx.json", context_to_json(ctx))
+        write_json_atomic(tmp_path / "p.json", population_to_json(ctx.g))
+        assert run("synthesize", "--p", tmp_path / "p.json",
+                   "--q", tmp_path / "p.json",
+                   "--ctx", tmp_path / "ctx.json") == 1
         line = assert_one_error(capsys, "DOMAIN")
-        assert f"above the cap of {MAX_SLOT_TRANSFERS}" in line
+        assert f"cap of {MAX_SYNTHESIS_LEVELS}" in line
 
     def test_unreachable_exits_one_with_elbow(self, workdir, capsys):
         d, _ = workdir

@@ -19,7 +19,7 @@ from thermo_ops import (ConvexDecomposition, DomainError, EdpStep,
                         relative_entropy, relax, repeated_edp_limit,
                         simplex_coordinates, simulate_mean, thermo_majorizes,
                         thermo_transposition, unembed, validate_stochastic)
-from thermo_ops.core import MAX_FIT_TOTAL, as_values, auto_tol
+from thermo_ops.core import MAX_FIT_TOTAL, MAX_LEVELS, as_values, auto_tol
 from thermo_ops.io import population_to_json
 from thermo_ops.linprog import gibbs_map_exists
 
@@ -60,6 +60,21 @@ class TestMakeGibbsContext:
                                max_denominator=MAX_FIT_TOTAL // 2 + 1)
         with pytest.raises(DomainError, match="cap"):
             make_gibbs_context([0.0] * 5, max_denominator=MAX_FIT_TOTAL // 4)
+
+    def test_level_cap(self):
+        """A context holds at most ``MAX_LEVELS`` levels, however it is
+        built; one more is refused before the fit or any weight sum."""
+        n = MAX_LEVELS
+        assert make_gibbs_context([0.0] * n, max_denominator=None).n == n
+        assert gibbs_context_from_weights([F(1, n)] * n).n == n
+        for build in (lambda: make_gibbs_context([0.0] * (n + 1)),
+                      lambda: make_gibbs_context([0.0] * (n + 1),
+                                                 max_denominator=None),
+                      lambda: gibbs_context_from_weights(
+                          [F(1, n + 1)] * (n + 1))):
+            with pytest.raises(DomainError,
+                               match=f"{n + 1} levels are above the cap"):
+                build()
 
     def test_float_mode(self):
         ctx = make_gibbs_context([0.0, 0.5], max_denominator=None)

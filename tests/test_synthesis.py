@@ -3,20 +3,20 @@ import hashlib
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         compose_edps_same_pair, gibbs_context_from_weights,
-                        is_detailed_balanced, make_edp_step, synthesize,
-                        thermo_majorizes, thermo_transposition,
-                        validate_stochastic, verify_sequence)
+                        is_detailed_balanced, make_edp_step,
+                        make_gibbs_context, synthesize, thermo_majorizes,
+                        thermo_transposition, validate_stochastic,
+                        verify_sequence)
 from thermo_ops.majorization import ExactLorenz, _curves
-from thermo_ops.synthesis import (MAX_SLOT_TRANSFERS, _greedy_balanced,
-                                  _replay, _Run, _run_phases, _synth_aligned,
-                                  _Unreachable)
+from thermo_ops.synthesis import (MAX_SYNTHESIS_LEVELS, EdpSequence,
+                                  _greedy_balanced, _replay, _Run,
+                                  _run_phases, _synth_aligned, _Unreachable)
 
 from conftest import rand_ctx, rand_edp_image, rand_plt_image, rand_pop
 
@@ -362,7 +362,8 @@ class TestDominanceCap:
 
 def slot_level_aligned(p, q, d, order):
     """Reference: the classical transfer loop on the materialised D slots
-    (last excess slot to the first later deficit slot)."""
+    (last excess slot to the first later deficit slot), one transfer per
+    slot in the form of the strategies' transfers."""
     u, v, owner = [], [], []
     for i in order:
         u.extend([p[i] / d[i]] * d[i])
@@ -376,12 +377,23 @@ def slot_level_aligned(p, q, d, order):
         if j_df is None:
             return None
         delta = min(u[j_ex] - v[j_ex], v[j_df] - u[j_df])
-        lam = 1 - delta / (u[j_ex] - u[j_df])
         u[j_ex] -= delta
         u[j_df] += delta
         transfers.append((owner[j_ex], owner[j_df], delta, j_ex + 1,
-                          j_df + 1, lam, "aligned"))
+                          j_df + 1, "aligned"))
     return transfers
+
+
+def summed_stretches(transfers):
+    """The slot transfers with each maximal stretch on one level pair
+    summed into its first transfer, whose slots it keeps."""
+    out = []
+    for t in transfers:
+        if out and out[-1][:2] == t[:2]:
+            out[-1] = out[-1][:2] + (out[-1][2] + t[2],) + out[-1][3:]
+        else:
+            out.append(t)
+    return out
 
 
 def aligned_corpus():
@@ -401,56 +413,42 @@ def aligned_corpus():
             yield ctx, p, q, order
 
 
-def summed_aligned_runs(records):
-    """The ungrouped records with each maximal stretch of aligned transfers
-    on one level pair summed into its first record, whose ``lam`` is
-    dropped (the grouped record's is ``1 - p_down`` of its step)."""
-    out = []
-    for r in records:
-        if r.origin != "aligned":
-            out.append(r)
-        elif out and (out[-1].lo, out[-1].hi, out[-1].origin) == (
-                r.lo, r.hi, r.origin):
-            out[-1] = replace(out[-1], delta=out[-1].delta + r.delta)
-        else:
-            out.append(replace(r, lam=None))
-    return out
-
-
-def without_aligned_lam(records):
-    return [replace(r, lam=None) if r.origin == "aligned" else r
-            for r in records]
-
-
 class TestAlignedLoop:
     """The level-vector loop against the slot-level reference."""
 
     def test_matches_slot_level_loop(self):
-        compared = 0
+        """Each transfer moves one level run: the reference's maximal
+        same-pair stretch, with its first slots.  Replayed one slot at a
+        time and folded per pair, the reference gives the same steps."""
+        compared = folded = 0
         for ctx, p, q, order in aligned_corpus():
-            compared += 1
             expected = slot_level_aligned(p, q, ctx.d, order)
             assert expected is not None
-            assert _synth_aligned(*_curves(p, q, ctx, None)[:2],
-                                  False) == expected
-        assert compared >= 300
+            source, target, _ = _curves(p, q, ctx, None)
+            runs = _synth_aligned(source, target)
+            assert runs == summed_stretches(expected)
+            args = source.nums, target.nums, source.scale, ctx, False
+            slot_steps, _ = _replay(expected, *args)
+            run_steps, _ = _replay(runs, *args)
+            assert grouped_by_oracle(slot_steps, ctx) == run_steps
+            compared += 1
+            folded += len(expected) > len(runs)
+        assert compared >= 300 and folded >= 100
 
     def test_run_mode_sums_slot_mode_stretches(self):
-        """Grouped, each transfer moves one level run: the slot mode's
-        maximal same-pair stretch, at most n - 1 of them."""
-        compared = 0
-        for ctx, p, q, _ in aligned_corpus():
+        """``synthesize`` makes one step and one record per level run,
+        grouped or not, at most n - 1 of them, each record's ``lam``
+        being ``1 - p_down`` of its step."""
+        for ctx, p, q, order in aligned_corpus():
             seq = synthesize(p, q, ctx, group=True)
-            raw = synthesize(p, q, ctx, group=False)
-            assert {r.origin for r in raw.provenance} == {"aligned"}
+            assert synthesize(p, q, ctx, group=False) == seq
+            runs = summed_stretches(slot_level_aligned(p, q, ctx.d, order))
+            assert [(r.delta, r.j_ex, r.j_df, r.origin)
+                    for r in seq.provenance] == [t[2:] for t in runs]
             assert len(seq.provenance) <= ctx.n - 1
-            assert without_aligned_lam(seq.provenance) == \
-                summed_aligned_runs(raw.provenance)
             assert len(seq.steps) == len(seq.provenance)
             assert [r.lam for r in seq.provenance] == \
                 [1 - s.p_down for s in seq.steps]
-            compared += len(raw.provenance) > len(seq.provenance)
-        assert compared >= 100
 
     def test_billion_slots_in_bounded_memory(self):
         D = 10**9
@@ -465,13 +463,15 @@ class TestAlignedLoop:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert [r.origin for r in seq.provenance] == ["aligned", "aligned"]
-        assert [(r.j_ex, r.j_df) for r in seq.provenance] == [(1, 2), (1, 3)]
+        # one level run fills level 1's two slots from level 2's one
+        assert [(r.origin, r.j_ex, r.j_df) for r in seq.provenance] == [
+            ("aligned", 1, 2)]
         assert verify_sequence(seq, p, q, ctx, tol=0).ok
 
-    def test_billion_slot_level_runs_in_bounded_time_and_memory(self):
-        """Grouped, every level holding 3*10^8 slots or more costs two
-        transfers, not one per slot."""
+    @staticmethod
+    def billion_slot_level_runs(group):
+        """Synthesize the aligned pair at D = 10^9 on which every level
+        holds 3*10^8 slots or more: (sequence, seconds, traced peak)."""
         d = (4 * 10**8 - 1, 3 * 10**8, 3 * 10**8 + 1)
         ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
         assert ctx.D == 10**9
@@ -481,34 +481,72 @@ class TestAlignedLoop:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            seq = synthesize(p, q, ctx, group=True)
+            seq = synthesize(p, q, ctx, group=group)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert verify_sequence(seq, p, q, ctx, tol=0).ok
+        return seq, elapsed, peak
+
+    def test_billion_slot_level_runs_in_bounded_time_and_memory(self):
+        """Every level run costs one transfer, not one per slot."""
+        seq, elapsed, peak = self.billion_slot_level_runs(True)
         assert elapsed < 1
         assert peak < 2**20
         assert len(seq.steps) == 2 and len(seq.provenance) == 2
-        assert verify_sequence(seq, p, q, ctx, tol=0).ok
 
-    @pytest.mark.parametrize("k", [MAX_SLOT_TRANSFERS // 4,
-                                   MAX_SLOT_TRANSFERS // 4 + 1])
-    def test_ungrouped_slot_cap(self, k):
-        """Ungrouped, each transfer settles one slot of a level that moves,
-        so more than ``MAX_SLOT_TRANSFERS`` such slots are refused before
-        the loop, as a DomainError no other strategy can answer instead."""
-        d = (2 * k - 1, k, k + 1)
-        ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
-        p = (F(9, 10), F(1, 20), F(1, 20))
-        q = (F(7, 10), F(3, 20), F(3, 20))
-        if ctx.D <= MAX_SLOT_TRANSFERS:
-            seq = synthesize(p, q, ctx, group=False)
-            assert len(seq.steps) == ctx.D - 1
-        else:
-            with pytest.raises(DomainError, match="cap") as refused:
-                synthesize(p, q, ctx, group=False)
-            assert not isinstance(refused.value, SynthesisError)
-            assert len(synthesize(p, q, ctx, group=True).steps) == 2
+    def test_ungrouped_billion_slot_level_runs(self):
+        """Ungrouped, the same pair costs the same two level runs."""
+        seq, elapsed, peak = self.billion_slot_level_runs(False)
+        assert elapsed < 1
+        assert peak < 2**20
+        assert len(seq.steps) == 2 and len(seq.provenance) == 2
+        assert seq == self.billion_slot_level_runs(True)[0]
+
+    def test_degenerate_levels_give_up(self):
+        """Two levels with one weight admit no step between them, so the
+        aligned loop gives up on such a run and leaves the pair to the
+        other strategies."""
+        ctx = gibbs_context_from_weights([F(1, 2), F(1, 2)])
+        p, q = (F(4, 5), F(1, 5)), (F(3, 5), F(2, 5))
+        for group in (True, False):
+            with pytest.raises(SynthesisError) as info:
+                synthesize(p, q, ctx, group=group)
+            assert info.value.attempts[0] == (
+                "aligned", "levels 0 and 1 are degenerate")
+            assert len(info.value.attempts) == 6
+
+    def test_degenerate_aligned_pair_left_to_the_phases(self):
+        """An aligned pair whose first run joins two levels of one weight
+        is synthesized by a phase strategy."""
+        ctx = gibbs_context_from_weights([F(2, 5), F(1, 5), F(2, 5)])
+        p = (F(0), F(1, 5), F(4, 5))
+        q = (F(1, 5), F(1, 5), F(3, 5))
+        assert beta_order(p, ctx).perm == beta_order(q, ctx).perm
+        source, target, _ = _curves(p, q, ctx, None)
+        with pytest.raises(_Unreachable, match="degenerate"):
+            _synth_aligned(source, target)
+        seq = synthesize(p, q, ctx)
+        assert verify_sequence(seq, p, q, ctx, tol=0).ok
+        assert {r.origin for r in seq.provenance} == {"phase"}
+
+    def test_level_cap(self):
+        """More than ``MAX_SYNTHESIS_LEVELS`` levels are refused before any
+        work, even when p is q; the cap itself is synthesized."""
+        def ctx_of(n):
+            total = n * (n + 1) // 2
+            return gibbs_context_from_weights(
+                [F(k, total) for k in range(1, n + 1)])
+
+        ctx = ctx_of(MAX_SYNTHESIS_LEVELS)
+        p = (F(1, ctx.n),) * ctx.n
+        seq = synthesize(p, ctx.g, ctx)
+        assert verify_sequence(seq, p, ctx.g, ctx, tol=0).ok
+        big = ctx_of(MAX_SYNTHESIS_LEVELS + 1)
+        with pytest.raises(DomainError, match="cap") as refused:
+            synthesize(big.g, big.g, big)
+        assert not isinstance(refused.value, SynthesisError)
 
 
 # The three exact-small targets (perfbench corpus seeds 14, 24 and 30) that
@@ -535,11 +573,12 @@ GREEDY_PAIRS = (
 )
 
 # SHA-256 of the outputs of ``pinned_synthesis_corpus``, as written once
-# grouped aligned provenance became one record per level run.  Every
-# grouped step, relabel and refusal, and every ungrouped sequence, is as
-# written when synthesis still ran on Fraction objects.
-SYNTHESIS_PIN = ("3f7ba1b0a088a97ceaf072dbb9a52e0e"
-                 "1c0caec48e1b0e447ffadaf586af0a26")
+# ungrouped aligned pairs became one transfer per level run too.  Every
+# grouped step, relabel and refusal, and every ungrouped sequence on a
+# pair that is not beta-aligned, is as written when synthesis still ran
+# on Fraction objects.
+SYNTHESIS_PIN = ("42def1327cb78d008a721ecb381eed95"
+                 "6c8f1d1df660d706880b343b1880b5a1")
 
 
 def pinned_synthesis_corpus():
@@ -628,10 +667,19 @@ def grouped_by_oracle(steps, ctx):
     return tuple(out)
 
 
+# The pinned pairs (``pinned_synthesis_corpus`` indices) whose phase runs
+# alternate transit moves on one level pair.  Such ping-pong makes most
+# of the same-pair runs that grouping composes (an aligned level run is
+# one transfer); seeded images make one in about 500 pairs.
+PING_PONG_PAIRS = (107, 360)
+
+
 def grouping_corpus():
     """The pinned corpus (its greedy-only pairs included), then seeded
-    elementary and partial-thermalisation images with n <= 6."""
-    for ctx, p, q, _ in pinned_synthesis_corpus():
+    elementary and partial-thermalisation images with n <= 6, then seeded
+    sources on the segment from p towards q of the ping-pong pairs."""
+    pinned = list(pinned_synthesis_corpus())
+    for ctx, p, q, _ in pinned:
         yield ctx, p, q
     rng = random.Random(1313)
     for trial in range(150):
@@ -639,6 +687,11 @@ def grouping_corpus():
         p = rand_pop(rng, ctx.n)
         image = rand_edp_image if trial % 2 else rand_plt_image
         yield ctx, p, image(rng, p, ctx, rng.randint(1, 12))
+    for i in PING_PONG_PAIRS:
+        ctx, p, q, _ = pinned[i]
+        for _ in range(24):
+            s = F(rng.randint(1, 63), 64)
+            yield ctx, tuple((1 - s) * a + s * b for a, b in zip(p, q)), q
 
 
 class TestIntegerGrouping:
@@ -654,8 +707,7 @@ class TestIntegerGrouping:
                 continue
             seq = synthesize(p, q, ctx, group=True)
             assert seq.steps == grouped_by_oracle(raw.steps, ctx)
-            assert without_aligned_lam(seq.provenance) == \
-                summed_aligned_runs(raw.provenance)
+            assert seq.provenance == raw.provenance
             assert len(raw.steps) == len(raw.provenance)
             grouped_runs += len(raw.steps) - len(seq.steps)
         assert grouped_runs > 100
@@ -666,7 +718,7 @@ class TestIntegerGrouping:
                                             delta):
         # from (1, 0) one step moves at most 1/2 from level 0 to level 1,
         # so moving 1 is p_down = 2, and a negative mass is p_down < 0
-        transfer = (0, 1, delta, 1, 3, None, "phase")
+        transfer = (0, 1, delta, 1, 3, "phase")
         P, Q = (1, 0), (1 - delta, delta)
         with pytest.raises(DomainError, match=r"p_down must lie in \[0, 1\]"):
             _replay([transfer], P, Q, 1, two_thirds_ctx, group)
@@ -746,6 +798,25 @@ class TestVerifySequence:
         report = verify_sequence(empty, (F(1), F(0)), (F(1, 2), F(1, 2)),
                                  two_thirds_ctx)
         assert not report.ok
+
+    def test_float_steps_pass_at_zero_tolerance(self):
+        """A float step is checked through its own rule (its level pair and
+        its ``p_down`` range), not through its matrix, so rounding in the
+        matrix's detailed-balance products fails no valid step at
+        ``tol=0``."""
+        ctx = make_gibbs_context([0.0, 0.4, 1.1, 2.5], max_denominator=None)
+        pairs = [(lo, hi) for hi in range(4) for lo in range(hi)]
+        rng = random.Random(17)
+        for _ in range(200):
+            w = [rng.random() for _ in range(4)]
+            p = tuple(v / sum(w) for v in w)
+            steps = tuple(make_edp_step(ctx, *rng.choice(pairs), rng.random())
+                          for _ in range(rng.randint(1, 6)))
+            x = p
+            for step in steps:
+                x = apply_edp(step, x, ctx)
+            seq = EdpSequence(steps, (), (0, 1, 2, 3), (0, 1, 2, 3))
+            assert verify_sequence(seq, p, x, ctx, tol=0).ok
 
     @pytest.mark.parametrize("weights, lo, hi, message", [
         ((F(4, 7), F(2, 7), F(1, 7)), 0, 5, "in range"),
