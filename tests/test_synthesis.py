@@ -504,6 +504,22 @@ class TestAlignedLoop:
         assert len(seq.steps) == 2 and len(seq.provenance) == 2
         assert seq == self.billion_slot_level_runs(True)[0]
 
+    @pytest.mark.parametrize("k", [2500, 2501])
+    def test_ungrouped_slot_cap(self, k):
+        """Ungrouped synthesis has no slot cap: on either side of D = 10^4,
+        where one transfer per slot was once refused, the pair costs the
+        same two level runs as grouped."""
+        d = (2 * k - 1, k, k + 1)
+        ctx = gibbs_context_from_weights([F(di, sum(d)) for di in d])
+        assert ctx.D == 4 * k
+        p = (F(9, 10), F(1, 20), F(1, 20))
+        q = (F(7, 10), F(3, 20), F(3, 20))
+        seq = synthesize(p, q, ctx, group=False)
+        assert len(seq.steps) == 2 and len(seq.provenance) == 2
+        assert [r.origin for r in seq.provenance] == ["aligned"] * 2
+        assert seq == synthesize(p, q, ctx, group=True)
+        assert verify_sequence(seq, p, q, ctx, tol=0).ok
+
     def test_degenerate_levels_give_up(self):
         """Two levels with one weight admit no step between them, so the
         aligned loop gives up on such a run and leaves the pair to the
