@@ -411,19 +411,12 @@ def thermo_majorizes_embedded(p, q, ctx: GibbsContext,
 
 def thermo_majorizes(p, q, ctx: GibbsContext, tol: Number | None = None,
                      route: Route = "curve") -> bool:
-    # The route functions are called by their module names, not through
-    # _dominates, so that a tracer rebinding those names times each route.
-    if route == "curve":
-        return thermo_majorizes_curve(p, q, ctx, tol)
-    if route == "abs":
-        return thermo_majorizes_abs(p, q, ctx, tol)
-    if route == "embedded":
-        return thermo_majorizes_embedded(p, q, ctx, tol)
-    if route == "all":
-        return _agree((thermo_majorizes_curve(p, q, ctx, tol),
-                       thermo_majorizes_abs(p, q, ctx, tol),
-                       thermo_majorizes_embedded(p, q, ctx, tol)))
-    raise DomainError(f"unknown route {route!r}")
+    """p >=_T q by one route, or by all three on one pair of curves; routes
+    that disagree are a DomainError."""
+    if route not in ("curve", "abs", "embedded", "all"):
+        raise DomainError(f"unknown route {route!r}")
+    return _dominates(
+        *_curves(as_levels(p, ctx), as_levels(q, ctx), ctx, tol), route)
 
 
 def relative_entropy(x, ctx: GibbsContext,

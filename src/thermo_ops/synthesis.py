@@ -162,7 +162,9 @@ class _Run:
     far.  ``target`` is q's integer curve and ``q_at`` its values at its
     elbows; ``w[i] = lcm(d)/d_i`` turns a numerator into a ratio key.
     ``s0`` holds the state's slacks over the target (``slacks`` at 0) once
-    a dominance cap has read them, until the next move."""
+    a dominance cap has read them, until the next move: every cap that
+    does not take its whole ``delta_hi`` reads them, and a cap of 0 is
+    decided on them alone, with no shifted curve built."""
 
     def __init__(self, source, target, q_at):
         self.x, self.q = list(source.nums), list(target.nums)
@@ -206,23 +208,41 @@ class _Run:
         """delta_hi when the shifted state (x - m e_a + m e_b) at m = delta_hi
         thermo-majorises the target; otherwise the largest m such that every
         shifted state on [0, m] does.  The masses m are in units of
-        ``1/scale``.
+        ``1/scale``, and the move goes down the ratios (key(a) > key(b)).
 
         Between ratio-crossing values of m the beta-order is fixed, so the
         slack of the shifted curve over the target at each target elbow is
         affine in m and the binding m is a root of the line through the
         slacks at the two ends of one regime.  Checking the target elbows
         suffices: between them the shifted curve is concave and the target
-        linear.  The smallest root is chosen on integers, the elbow with the
-        least ratio of its slacks at the two ends; a zero slack at the
-        regime's start is a root there, whose slacks are known, so only an
-        interior root is checked anew.
+        linear.
+
+        The first regime's order is the state's, with a after the levels
+        that share its ratio key and b before those that share b's.  There
+        the move lowers the curve strictly between a's first slot and b's
+        last one and leaves it alone elsewhere, so the cap is 0 exactly when
+        the state touches the target at an elbow strictly inside that span:
+        ``O(n)`` integers on the state's own slacks ``s0``.  Otherwise the
+        regimes are walked in turn, and the smallest root is chosen on
+        integers, the elbow with the least ratio of its slacks at the two
+        ends; a zero slack at a later regime's start is a root there, whose
+        slacks are known, so only an interior root is checked anew.
         """
         x, d = self.x, self.d
         n = len(x)
         s_hi, k_hi = self.slacks(a, b, delta_hi)
         if min(s_hi) >= 0:
             return delta_hi
+        s0, k0 = self.slacks(a, b, 0)
+        if min(s0) < 0:
+            raise SynthesisError("internal: dominance cap computation failed")
+        keys = [xi * wi for xi, wi in zip(x, self.w)]
+        ka, kb = keys[a], keys[b]
+        first = sum(dj for kj, dj in zip(keys, d) if kj >= ka) - d[a]
+        last = sum(dj for kj, dj in zip(keys, d) if kj > kb) + d[b]
+        if any(not s and first < c < last
+               for s, c in zip(s0, self.target.xs)):
+            return Fraction(0)
         hi_num, hi_den = delta_hi.numerator, delta_hi.denominator
         crits = set()
         for j in range(n):
@@ -237,10 +257,7 @@ class _Run:
                 if den and 0 < num and num * hi_den < hi_num * den:
                     crits.add(Fraction(num, den))
         grid = [0] + sorted(crits) + [delta_hi]
-        s0, k0 = self.slacks(a, b, 0)
         for d0, d1 in zip(grid, grid[1:]):
-            if min(s0) < 0:
-                break
             s1, k1 = ((s_hi, k_hi) if d1 == delta_hi
                       else self.slacks(a, b, d1))
             falling = [(u, v) for u, v in zip(s0, s1) if v < 0]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .core import (DomainError, EdpStep, GibbsContext, Number, as_levels,
                    check_level_pair)
-from .majorization import beta_order, thermo_majorizes
+from .majorization import _curves, _dominates
 
 
 def relax(p0, t: float, xi: float, ctx: GibbsContext) -> tuple[float, ...]:
@@ -118,7 +118,9 @@ def repeated_edp_limit(step: EdpStep, x, n: int,
 def is_thermalisation_of(p, q, ctx: GibbsContext,
                          tol: Number | None = None) -> bool:
     """q is a thermalisation of p iff p >=_T q and both share a beta-order
-    (under the deterministic tie rule)."""
-    if not thermo_majorizes(p, q, ctx, tol):
-        return False
-    return beta_order(p, ctx) == beta_order(q, ctx)
+    (under the deterministic tie rule).  Both orders are read off the pair
+    of curves the majorisation check builds: over their common scale the
+    numerators are the populations times one positive factor, which keeps
+    every comparison the order makes."""
+    lp, lq, slack = _curves(as_levels(p, ctx), as_levels(q, ctx), ctx, tol)
+    return _dominates(lp, lq, slack, "curve") and lp.order == lq.order

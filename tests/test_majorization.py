@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -17,8 +18,9 @@ from thermo_ops import (DomainError, EdpSequence, apply_edp, apply_plt,
                         thermo_majorizes, thermo_majorizes_abs,
                         thermo_majorizes_curve, thermo_majorizes_embedded,
                         unembed, verify_sequence)
+from thermo_ops import majorization
 from thermo_ops.linprog import gibbs_map_exists
-from thermo_ops.majorization import _abs_majorize, exact_lorenz
+from thermo_ops.majorization import _abs_majorize, _agree, exact_lorenz
 
 from conftest import rand_ctx, rand_pop
 
@@ -370,6 +372,82 @@ class TestIntegerKernel:
                 key = sorted(range(c.n),
                              key=lambda i: (-(F(x[i]) / F(g[i])), -x[i], i))
                 assert beta_order(x, c).perm == tuple(key)
+
+
+def _one_pair_corpus():
+    """(ctx, p, q, tol): criterion-1 and tied pairs, exact, with float
+    populations, and with float populations in a float context built from
+    the same energies, each with the default and an explicit tolerance."""
+    for ctx, p, q in itertools.chain(_criterion_1_pairs(67, 150),
+                                     _tied_pairs(71, 150)):
+        float_ctx = make_gibbs_context(ctx.energies, None)
+        for c, a, b, tol in ((ctx, p, q, None), (ctx, p, q, F(1, 50)),
+                             (ctx, _floats(p), _floats(q), None),
+                             (ctx, _floats(p), _floats(q), 1e-3),
+                             (float_ctx, _floats(p), _floats(q), None),
+                             (float_ctx, _floats(p), _floats(q), 1e-3)):
+            yield c, a, b, tol
+
+
+class TestOnePairCalls:
+    """``thermo_majorizes(route="all")`` and ``is_thermalisation_of`` each
+    decide on one pair of curves, and answer as the public calls they
+    replace."""
+
+    def test_all_routes_equal_the_three_public_routes(self):
+        seen = collections.Counter()
+        for ctx, p, q, tol in _one_pair_corpus():
+            verdict = thermo_majorizes(p, q, ctx, tol, route="all")
+            assert verdict is _agree((
+                thermo_majorizes_curve(p, q, ctx, tol),
+                thermo_majorizes_abs(p, q, ctx, tol),
+                thermo_majorizes_embedded(p, q, ctx, tol)))
+            seen[ctx.rational, type(p[0]), tol is None, verdict] += 1
+        # every corpus, tolerance and verdict
+        assert len(seen) == 12 and min(seen.values()) >= 20
+
+    def test_thermalisation_equals_majorisation_and_orders(self):
+        seen = collections.Counter()
+        for ctx, p, q, tol in _one_pair_corpus():
+            got = is_thermalisation_of(p, q, ctx, tol)
+            assert got is (thermo_majorizes(p, q, ctx, tol)
+                           and beta_order(p, ctx) == beta_order(q, ctx))
+            seen[ctx.rational, type(p[0]), got] += 1
+        assert len(seen) == 6 and min(seen.values()) >= 20
+
+    def test_orders_read_from_tied_pairs(self):
+        """Pairs whose ratio keys tie within p or q, where the common scale
+        of the pair must order the levels as each population's own."""
+        tied = 0
+        for ctx, p, q in _tied_pairs(73, 300):
+            if len({pi / di for pi, di in zip(p, ctx.d)}) < ctx.n:
+                tied += 1
+            got = is_thermalisation_of(p, q, ctx)
+            assert got is (thermo_majorizes(p, q, ctx)
+                           and beta_order(p, ctx) == beta_order(q, ctx))
+        assert tied >= 100
+
+    def test_normalisation_message(self, two_thirds_ctx):
+        ctx = two_thirds_ctx
+        p, q = (F(1, 2), F(1, 2)), (F(1, 2), F(1, 4))
+        for call in (lambda: thermo_majorizes(p, q, ctx, route="all"),
+                     lambda: thermo_majorizes_curve(p, q, ctx),
+                     lambda: is_thermalisation_of(p, q, ctx)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == "normalisations differ: 1 vs 3/4"
+
+    def test_disagreeing_routes_message(self, two_thirds_ctx, monkeypatch):
+        ctx = two_thirds_ctx
+        real = majorization._blocks_majorize
+        monkeypatch.setattr(majorization, "_blocks_majorize",
+                            lambda *args: not real(*args))
+        with pytest.raises(DomainError) as info:
+            thermo_majorizes((F(1), F(0)), ctx.g, ctx, route="all")
+        assert str(info.value) == "majorisation routes disagree"
+        # each public route still answers alone
+        assert not thermo_majorizes_embedded((F(1), F(0)), ctx.g, ctx)
+        assert thermo_majorizes_curve((F(1), F(0)), ctx.g, ctx)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from thermo_ops import (DomainError, SynthesisError, apply_edp, beta_order,
                         make_gibbs_context, synthesize, thermo_majorizes,
                         thermo_transposition, validate_stochastic,
                         verify_sequence)
-from thermo_ops.majorization import ExactLorenz, _curves
+from thermo_ops.majorization import ExactLorenz, _curves, lorenz_violation
 from thermo_ops.synthesis import (MAX_SYNTHESIS_LEVELS, EdpSequence,
                                   _greedy_balanced, _replay, _Run,
                                   _run_phases, _synth_aligned, _Unreachable)
@@ -358,6 +358,98 @@ class TestDominanceCap:
         # delta_hi at once, a root at the state itself, and one inside
         assert outcomes["full"] >= 1000 and outcomes["zero"] >= 1000
         assert outcomes["root"] >= 100
+
+    def test_zero_cap_edges(self):
+        """The zero cap decided on the state's own slacks, on small integer
+        states full of equal ratio keys and of elbows where the state
+        touches the target.  Its span is read off the order of the state
+        moved by a tiny mass, independently of the cap: a's first slot and
+        b's last one.  Every cap equals the reference's in value and type;
+        a zero decided without a shifted curve beyond ``delta_hi`` is the
+        O(n) decision."""
+        rng = random.Random(2503)
+        seen = collections.Counter()
+        for trial in range(1500):
+            n = rng.randint(2, 4)
+            d = [rng.randint(1, 4) for _ in range(n)]
+            # equal ratio keys come from multiples of d, touching curves
+            # from a target a few unit moves away
+            x = ([rng.randint(0, 3) * di for di in d] if trial % 2
+                 else [rng.randint(0, 6) for _ in d])
+            q = list(x)
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if q[i]:
+                    q[i] -= 1
+                    q[j] += 1
+            if not sum(x):
+                continue
+            source = ExactLorenz(x, sum(x), d)
+            target = ExactLorenz(q, sum(x), d)
+            if lorenz_violation(source, target) is not None:
+                continue
+            q_at = target.values(target.xs)
+            for a in range(n):
+                for b in range(n):
+                    if x[a] * d[b] <= x[b] * d[a]:
+                        continue
+                    for full in (True, False):
+                        run = _Run(source, target, q_at)
+                        delta_hi = run.feas_cap(a, b) if full else 1
+                        asked = []
+
+                        def recorded(i, j, delta, slacks=run.slacks):
+                            asked.append(delta)
+                            return slacks(i, j, delta)
+
+                        run.slacks = recorded
+                        got = run.dominance_cap(a, b, delta_hi)
+                        want = dominance_cap_reference(
+                            x, sum(x), d, target, q_at, a, b, delta_hi)
+                        assert (got, type(got)) == (want, type(want))
+                        if got == delta_hi:
+                            continue
+                        # two ratios of these small integers cross no
+                        # nearer than a mass of 1/8, far beyond 10^-6
+                        tiny = [v * 10 ** 6 for v in x]
+                        tiny[a] -= 1
+                        tiny[b] += 1
+                        moved = ExactLorenz(tiny, sum(x) * 10 ** 6, d)
+                        rank = moved.order.index
+                        first = moved.xs[rank(a)]
+                        last = moved.xs[rank(b) + 1]
+                        touching = [c for c, s in zip(target.xs,
+                                                      run.s0[0]) if not s]
+                        inside = any(first < c < last for c in touching)
+                        assert (got == 0) == inside
+                        if inside:
+                            assert asked == [delta_hi, 0]
+                            seen["zero"] += 1
+                        elif first in touching or last in touching:
+                            seen["edge"] += 1
+                        keys = [run.key(i) for i in range(n)]
+                        if (keys.count(keys[a]) > 1
+                                or keys.count(keys[b]) > 1):
+                            seen["tie", got == 0] += 1
+        # zero caps, elbows touching at a span's ends and not inside it,
+        # and ties with a's or b's key on both sides of the decision
+        assert seen["zero"] >= 1000 and seen["edge"] >= 100
+        assert seen["tie", True] >= 100 and seen["tie", False] >= 50
+
+    def test_state_below_target_is_an_internal_error(self):
+        """A state that does not thermo-majorise the target has a negative
+        slack of its own, which no cap can mend."""
+        d, x, q = (1, 2), (1, 1), (2, 0)
+        source, target = ExactLorenz(x, 2, d), ExactLorenz(q, 2, d)
+        run = _Run(source, target, target.values(target.xs))
+        assert run.key(0) > run.key(1)
+        assert min(run.slacks(0, 1, 0)[0]) < 0
+        for cap in (lambda: run.dominance_cap(0, 1, run.feas_cap(0, 1)),
+                    lambda: dominance_cap_reference(
+                        x, 2, d, target, run.q_at, 0, 1, F(1, 2))):
+            with pytest.raises(SynthesisError,
+                               match="internal: dominance cap"):
+                cap()
 
 
 def slot_level_aligned(p, q, d, order):
